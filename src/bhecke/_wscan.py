@@ -4,7 +4,8 @@ Group elements are indexed 0 .. 2^n*n!-1 as k = s*n! + p, where p is the
 lexicographic rank of the underlying permutation and bit j of s flips the
 sign of target coordinate j+1. The full signed-image table for one n is a
 (2^n*n!, n) int8 array (83 MB at n = 8), built once per n and shared; the
-expensive per-shape masks are cached packed.
+sorted survivor indices of each simple-root shape (n, pset, short) are
+cached, a few hundred int64 per shape at n = 8.
 """
 
 from __future__ import annotations
@@ -70,30 +71,39 @@ def pi_structure(kappa: tuple[int, ...], l: int, n: int) -> tuple[tuple[int, ...
     return tuple(pset), l >= 1
 
 
-_pi_mask_cache: dict = {}
+_survivor_cache: dict = {}
 
 
-def _pi_mask(n: int, pset: tuple[int, ...], short: bool) -> tuple[np.ndarray, int]:
-    """Unpacked bool mask of elements stabilizing the simple-root set."""
+def pi_survivors(n: int, pset: tuple[int, ...],
+                 short: bool) -> np.ndarray | None:
+    """Sorted indices of the elements stabilizing the simple-root set.
+
+    Each condition filters only the candidates left by the ones before it:
+    first w(e_n) = e_n when e_n is simple, then, one chain root
+    e_a - e_{a+1} of pset at a time, that w maps it to a chain root
+    e_b - e_{b+1} of pset (w(e_a) is e_b or -e_{b+1}). Cached per shape
+    (n, pset, short); the array is read-only because it is shared. Returns
+    None when there is no condition, meaning the whole group survives.
+    """
+    if not pset and not short:
+        return None
     key = (n, pset, short)
-    hit = _pi_mask_cache.get(key)
-    if hit is None:
+    surv = _survivor_cache.get(key)
+    if surv is None:
         img = images_table(n)
-        mask = np.ones(len(img), dtype=bool)
         lut = np.zeros(2 * n + 1, dtype=bool)
         for b in pset:
             lut[b + n] = True
             lut[n - b - 1] = True
+        surv = np.flatnonzero(img[:, n - 1] == n) if short else None
         for a in pset:
-            v = img[:, a - 1]
-            mask &= img[:, a] == v + 1
-            mask &= lut[v.astype(np.int16) + n]
-        if short:
-            mask &= img[:, n - 1] == n
-        hit = (np.packbits(mask), int(mask.sum()))
-        _pi_mask_cache[key] = hit
-    packed, count = hit
-    return np.unpackbits(packed, count=group_order(n)).astype(bool), count
+            pair = img[slice(None) if surv is None else surv, a - 1:a + 1]
+            v = pair[:, 0]
+            keep = (pair[:, 1] == v + 1) & lut[v.astype(np.int16) + n]
+            surv = np.flatnonzero(keep) if surv is None else surv[keep]
+        surv.flags.writeable = False
+        _survivor_cache[key] = surv
+    return surv
 
 
 def w_survivor_indices(n: int, kappa: tuple[int, ...], l: int,
@@ -102,11 +112,9 @@ def w_survivor_indices(n: int, kappa: tuple[int, ...], l: int,
     condition (image minus character constant per strip block, zero on the
     tail). Returns None when the parabolic root system is empty, meaning the
     whole group survives vacuously."""
-    if l == 0 and (not kappa or kappa[0] == 1):
+    surv = pi_survivors(n, *pi_structure(kappa, l, n))
+    if surv is None:
         return None
-    pset, short = pi_structure(kappa, l, n)
-    mask, _ = _pi_mask(n, pset, short)
-    surv = np.flatnonzero(mask)
     img = images_table(n)[surv]
     g2 = np.array(gamma2, dtype=np.int16)
     tgt = np.abs(img).astype(np.int64) - 1

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import re
 import sys
 import warnings
@@ -31,9 +30,9 @@ from typing import Optional, Sequence
 from .partitions import Bipartition, enumerate_partitions, fmt_ratio
 from .report import SCHEMA_VERSION, build_report
 from .rgroup import (
-    DEFAULT_BRUTE_BOUND,
     GluingAmbiguityWarning,
     InductionDatum,
+    _check_bound,
     convert_C_labels,
 )
 from .selftest import SUITE_NAMES, Bounds, run_selftest
@@ -172,16 +171,11 @@ def _print_report(rep: dict) -> None:
 def cmd_rgroup(args) -> int:
     try:
         xi = InductionDatum(args.n, args.m, args.kappa, args.mu)
+        if args.oracle:
+            _check_bound(xi.n)
     except ValueError as exc:
         sys.stderr.write(f"bhecke rgroup: {exc}\n")
         return 2
-    if args.oracle:
-        bound = int(os.environ.get("HECKE_RGROUP_BOUND_N", str(DEFAULT_BRUTE_BOUND)))
-        if xi.n > bound:
-            sys.stderr.write(
-                f"bhecke rgroup: --oracle needs n <= {bound} "
-                "(raise HECKE_RGROUP_BOUND_N to override)\n")
-            return 2
     rep = build_report(xi, oracle=args.oracle)
     if args.json:
         _json_out(rep)

@@ -351,14 +351,30 @@ def convert_C_labels(k1c: Fraction, k2c: Fraction) -> tuple[Fraction, Fraction]:
 
 
 def _brute_bound() -> int:
-    return int(os.environ.get("HECKE_RGROUP_BOUND_N", str(DEFAULT_BRUTE_BOUND)))
+    """HECKE_RGROUP_BOUND_N, an integer >= 1 (default DEFAULT_BRUTE_BOUND)."""
+    raw = os.environ.get("HECKE_RGROUP_BOUND_N")
+    if raw is None:
+        return DEFAULT_BRUTE_BOUND
+    try:
+        bound = int(raw)
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise ValueError(
+            f"HECKE_RGROUP_BOUND_N must be an integer >= 1, got {raw!r}")
+    return bound
 
 
 def _check_bound(n: int) -> None:
+    """Refuse brute force over W(B_n) above the bound, stating the size of
+    the image table it would build."""
     bound = _brute_bound()
     if n > bound:
+        from . import _wscan
+        nbytes = _wscan.group_order(n) * n
         raise ValueError(
-            f"brute force over W(B_{n}) exceeds the bound {bound}; "
+            f"brute force over W(B_{n}) exceeds the bound {bound}: its image "
+            f"table alone needs {nbytes:,} bytes; "
             f"set HECKE_RGROUP_BOUND_N to raise it")
 
 

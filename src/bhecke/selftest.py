@@ -265,7 +265,7 @@ def _rgroup_chunk(args) -> tuple[int, list[str]]:
     conds = (
         len(members) == 1 << rg.d,
         images == span,
-        all((g * g).is_identity for g in members),
+        all((g * g).is_identity() for g in members),
         len(survivors) == rs.weyl_order * (1 << rg.d),
     )
     for cond in conds:

@@ -179,7 +179,7 @@ def test_criterion_5_brute_force_r_group():
             expected = restricted_root_system(xi).weyl_order * (1 << rg.d)
             if not (len(members) == 1 << rg.d
                     and images == span
-                    and all((g * g).is_identity for g in members)
+                    and all((g * g).is_identity() for g in members)
                     and len(survivors) == expected):
                 mismatches.append(case)
     assert mismatches == []

@@ -74,6 +74,18 @@ class TestRGroupCommand:
         assert code == 2
         assert "HECKE_RGROUP_BOUND_N" in err
 
+    @pytest.mark.parametrize("raw", ["eight", "0", "-3", "8.5", ""])
+    def test_oracle_rejects_bad_bound(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("HECKE_RGROUP_BOUND_N", raw)
+        code, out, err = run_cli(
+            ["rgroup", "-n", "2", "-m", "0", "--kappa", "1,1", "--oracle"],
+            capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("bhecke rgroup: HECKE_RGROUP_BOUND_N must be")
+        assert repr(raw) in err
+        assert "Traceback" not in err
+
     def test_strict_passes_on_clean_datum(self, capsys):
         code, _, _ = run_cli(
             ["rgroup", "-n", "4", "-m", "1/2", "--kappa", "2", "--mu", "2",

@@ -250,6 +250,20 @@ class TestBruteForce:
         monkeypatch.setenv("HECKE_RGROUP_BOUND_N", "4")
         assert len(brute_force_W_xi_xi(xi)) == 384
 
+    @pytest.mark.parametrize("n,size", [(4, "1,536"), (8, "82,575,360"),
+                                        (9, "1,672,151,040")])
+    def test_bound_states_table_size(self, monkeypatch, n, size):
+        from bhecke.rgroup import _check_bound
+        monkeypatch.setenv("HECKE_RGROUP_BOUND_N", "3")
+        with pytest.raises(ValueError, match=f"table alone needs {size} bytes;"):
+            _check_bound(n)
+
+    @pytest.mark.parametrize("raw", ["x", "0", "-1", "2.0"])
+    def test_bad_bound_is_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("HECKE_RGROUP_BOUND_N", raw)
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            brute_force_W_xi_xi(InductionDatum(2, 0, (1, 1), ()))
+
     def test_oracle_agreement_small(self):
         # every valid datum with n <= 5: R is elementary abelian of order
         # 2^d, contains the constructed generators, and the stabilizer has

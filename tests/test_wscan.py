@@ -1,0 +1,75 @@
+"""The per-shape stabilizer survivors of _wscan against a pure-Python scan."""
+
+from functools import lru_cache
+
+import numpy as np
+
+from bhecke._wscan import (
+    group_order,
+    pi_structure,
+    pi_survivors,
+    unrank,
+    w_survivor_indices,
+)
+from bhecke.partitions import enumerate_partitions
+
+
+def shapes(n_max):
+    """Every (n, pset, short) of a datum with a nonempty parabolic root
+    system and n <= n_max."""
+    out = set()
+    for n in range(1, n_max + 1):
+        for k in range(n + 1):
+            for kappa in enumerate_partitions(k):
+                l = n - k
+                if l == 0 and (not kappa or kappa[0] == 1):
+                    continue
+                out.add((n,) + pi_structure(tuple(kappa), l, n))
+    return sorted(out)
+
+
+@lru_cache(maxsize=None)
+def elements(n):
+    return [unrank(n, k) for k in range(group_order(n))]
+
+
+def root_image(images, a):
+    """w(e_a - e_{a+1}) as a dict coordinate -> coefficient."""
+    x, y = images[a - 1], images[a]
+    out = {abs(x): 1 if x > 0 else -1}
+    out[abs(y)] = out.get(abs(y), 0) - (1 if y > 0 else -1)
+    return out
+
+
+def scan(n, pset, short):
+    """Ranks of the elements mapping every chain root of pset to a chain
+    root of pset, and fixing e_n when short."""
+    chain = [{b: 1, b + 1: -1} for b in pset]
+    return [k for k, images in enumerate(elements(n))
+            if all(root_image(images, a) in chain for a in pset)
+            and (not short or images[n - 1] == n)]
+
+
+def test_survivors_match_python_scan():
+    found = shapes(5)
+    assert len(found) > 30
+    for n, pset, short in found:
+        surv = pi_survivors(n, pset, short)
+        assert surv.dtype == np.int64
+        assert surv.tolist() == scan(n, pset, short), (n, pset, short)
+
+
+def test_repeated_call_returns_cached_array():
+    first = pi_survivors(6, (1, 2, 4), True)
+    assert pi_survivors(6, (1, 2, 4), True) is first
+    assert not first.flags.writeable
+    once = w_survivor_indices(6, (3, 2), 1, (1, 3, 5, 0, 2, 2))
+    again = w_survivor_indices(6, (3, 2), 1, (1, 3, 5, 0, 2, 2))
+    assert np.array_equal(once, again)
+    assert np.isin(once, first).all()
+
+
+def test_empty_parabolic_root_system_is_none():
+    assert w_survivor_indices(3, (1, 1, 1), 0, (1, 1, 1)) is None
+    assert w_survivor_indices(1, (1,), 0, (0,)) is None
+    assert pi_survivors(3, (), False) is None
