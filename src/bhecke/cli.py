@@ -20,14 +20,18 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import re
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .partitions import Bipartition, enumerate_partitions, fmt_ratio
+from .partitions import (
+    Bipartition,
+    enumerate_partitions,
+    fmt_ratio,
+    parse_partition,
+    parse_ratio,
+)
 from .report import SCHEMA_VERSION, build_report
 from .rgroup import (
     GluingAmbiguityWarning,
@@ -35,7 +39,7 @@ from .rgroup import (
     _check_bound,
     convert_C_labels,
 )
-from .selftest import SUITE_NAMES, Bounds, run_selftest
+from .selftest import SUITE_NAMES, Bounds, map_jobs, run_selftest
 from .splitting import residual_partitions, split
 from .symbols import (
     MINUS_ZERO,
@@ -49,8 +53,6 @@ from .symbols import (
 
 __all__ = ["main"]
 
-_FRACTION_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
-
 _TABLE_COLUMNS = (
     "n", "m", "kappa", "mu", "d", "components", "gluable",
     "classSize", "aValue", "residual", "blockwise", "cardinality",
@@ -58,44 +60,44 @@ _TABLE_COLUMNS = (
 )
 
 
-def _fraction(text: str) -> Fraction:
-    if not _FRACTION_RE.match(text.strip()):
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not an exact fraction; write 3, -2 or 1/2 "
-            "(decimals are rejected to prevent silent rounding)")
-    return Fraction(text)
+def _arg(parse):
+    """An argparse type that turns the parser's ValueError into a usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
-def _partition(text: str) -> tuple:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated part list")
-    if any(p < 1 for p in parts):
-        raise argparse.ArgumentTypeError(f"partition parts must be >= 1, got {text!r}")
-    return tuple(sorted(parts, reverse=True))
+def _at_least(minimum: int):
+    """An argparse type for an integer >= minimum."""
+    def at_least(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise ValueError(f"must be an integer >= {minimum}, got {value}")
+        return value
+    return _arg(at_least)
 
 
-def _fraction_list(text: str) -> tuple:
-    return tuple(_fraction(p) for p in text.split(","))
+def _ratio_list(text: str) -> tuple:
+    return tuple(parse_ratio(p) for p in text.split(","))
 
 
-def _variant_arg(text: str):
+def _variant(text: str):
     text = text.strip()
     if text == "+0":
         return PLUS_ZERO
     if text == "-0":
         return MINUS_ZERO
-    m = _fraction(text)
+    m = parse_ratio(text)
     if m == 0:
-        raise argparse.ArgumentTypeError(
-            'm=0 carries two symbol variants; pass "+0" or "-0"')
+        raise ValueError('m=0 carries two symbol variants; pass "+0" or "-0"')
     if m.denominator > 2:
-        raise argparse.ArgumentTypeError(
-            f"symbols need integer or half-integer m, got {text!r}")
+        raise ValueError(f"symbols need integer or half-integer m, got {text!r}")
     return variants_for_m(m)[0]
 
 
@@ -345,12 +347,7 @@ def _csv_cell(value) -> str:
 
 def cmd_table(args) -> int:
     cases = _table_cases(args.n, args.m_list)
-    if args.jobs > 1 and len(cases) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_table_row, cases,
-                                 chunksize=max(1, len(cases) // (8 * args.jobs))))
-    else:
-        rows = [_table_row(c) for c in cases]
+    rows = map_jobs(_table_row, cases, args.jobs)
     if args.json:
         _json_out({"schemaVersion": SCHEMA_VERSION, "rows": rows})
         return 0
@@ -419,11 +416,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "pole orders, the component group with labels, the "
                     "symbol class, and consistency checks.")
     p.add_argument("-n", type=int, required=True, help="rank; must equal |kappa| + |mu|")
-    p.add_argument("-m", type=_fraction, required=True,
+    p.add_argument("-m", type=_arg(parse_ratio), required=True,
                    help="parameter ratio as an exact fraction, e.g. 3 or 1/2")
-    p.add_argument("--kappa", type=_partition, default=(),
+    p.add_argument("--kappa", type=_arg(parse_partition), default=(),
                    help='induced strip lengths, comma-separated ("" for none)')
-    p.add_argument("--mu", type=_partition, default=(),
+    p.add_argument("--mu", type=_arg(parse_partition), default=(),
                    help='residual partition, comma-separated ("" for none)')
     p.add_argument("--oracle", action="store_true",
                    help="also run the brute-force Weyl group scans "
@@ -438,8 +435,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="residual partitions of a weight at a parameter",
         description="List every partition of the given weight that is a "
                     "residual point at m, with its split and symbol rows.")
-    p.add_argument("-l", type=int, required=True, help="weight to enumerate")
-    p.add_argument("-m", type=_fraction, required=True, help="exact fraction")
+    p.add_argument("-l", type=_at_least(0), required=True, help="weight to enumerate (>= 0)")
+    p.add_argument("-m", type=_arg(parse_ratio), required=True, help="exact fraction")
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=cmd_residual)
 
@@ -448,9 +445,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="splitting map on one partition",
         description="Apply the splitting map to one partition; reports the "
                     "peeled blocks or that the partition is not residual.")
-    p.add_argument("--lam", type=_partition, required=True,
+    p.add_argument("--lam", type=_arg(parse_partition), required=True,
                    help="partition, comma-separated parts")
-    p.add_argument("-m", type=_fraction, required=True, help="exact fraction")
+    p.add_argument("-m", type=_arg(parse_ratio), required=True, help="exact fraction")
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=cmd_split)
 
@@ -460,11 +457,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Compute the two-row symbol of a bipartition at one "
                     "variant, its a-value, its intervals, and the size of "
                     "its similarity class.")
-    p.add_argument("--first", type=_partition, default=(),
+    p.add_argument("--first", type=_arg(parse_partition), default=(),
                    help='first row partition ("" for empty)')
-    p.add_argument("--second", type=_partition, default=(),
+    p.add_argument("--second", type=_arg(parse_partition), default=(),
                    help='second row partition ("" for empty)')
-    p.add_argument("-m", type=_variant_arg, required=True,
+    p.add_argument("-m", type=_arg(_variant), required=True,
                    help='variant: an exact fraction, or "+0"/"-0" at zero')
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=cmd_symbols)
@@ -478,10 +475,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "are comma-joined part lists; classSize and aValue are "
                     "empty when m is neither integer nor half-integer; "
                     "check columns hold pass/fail (empty when undefined).")
-    p.add_argument("-n", type=int, required=True, help="rank to sweep")
-    p.add_argument("--m-list", type=_fraction_list, default=_fraction_list("0,1/2,1,3/2,2"),
+    p.add_argument("-n", type=_at_least(1), required=True, help="rank to sweep (>= 1)")
+    p.add_argument("--m-list", type=_arg(_ratio_list), default=_ratio_list("0,1/2,1,3/2,2"),
                    help="comma-separated exact fractions (default 0,1/2,1,3/2,2)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=_at_least(1), default=1,
+                   help="worker processes (at most the CPU count)")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true", help="emit CSV")
     fmt.add_argument("--json", action="store_true", help="emit JSON")
@@ -498,7 +496,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="rank bound for the sweep suites (default 6)")
     p.add_argument("--bound-l", type=int, default=10,
                    help="weight bound for the gluing sweep (default 10)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=_at_least(1), default=1,
+                   help="worker processes (at most the CPU count)")
     p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser(
@@ -508,9 +507,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "plus/minus e_i +- e_j roots and k2c on the 2e_i roots, "
                     "the equivalent type-B data has k1 = k1c, k2 = k2c/2 "
                     "and parameter ratio m = k2/k1.")
-    p.add_argument("--k1c", type=_fraction, required=True,
+    p.add_argument("--k1c", type=_arg(parse_ratio), required=True,
                    help="label on the e_i +- e_j roots (nonzero fraction)")
-    p.add_argument("--k2c", type=_fraction, required=True,
+    p.add_argument("--k2c", type=_arg(parse_ratio), required=True,
                    help="label on the 2e_i roots (fraction)")
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=cmd_convert_c)

@@ -9,6 +9,7 @@ seconds; the release gate re-runs the heavy suites at larger bounds.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -63,6 +64,7 @@ __all__ = [
     "SUITE_NAMES",
     "Bounds",
     "SuiteResult",
+    "map_jobs",
     "run_selftest",
 ]
 
@@ -121,7 +123,8 @@ class SuiteResult:
     seconds: float = 0.0
 
     def ok(self) -> bool:
-        return not self.failures
+        """Passed: at least one check ran and none failed."""
+        return self.checked > 0 and not self.failures
 
 
 def _half_integers(lo: int, hi: int) -> list[Fraction]:
@@ -240,7 +243,7 @@ def _gluing_chunk(args) -> tuple[int, list[str]]:
 
 def _suite_gluing(bounds: Bounds, res: SuiteResult) -> None:
     cases = list(_gluing_cases(bounds.bound_l))
-    for checked, failures in _map_jobs(_gluing_chunk, cases, bounds.jobs):
+    for checked, failures in map_jobs(_gluing_chunk, cases, bounds.jobs):
         res.checked += checked
         res.failures.extend(failures)
 
@@ -279,7 +282,7 @@ def _suite_rgroup(bounds: Bounds, res: SuiteResult) -> None:
     cases = []
     for n in range(1, bounds.bound_n + 1):
         cases.extend(_valid_data(n, _half_integers(0, 4)))
-    for checked, failures in _map_jobs(_rgroup_chunk, cases, bounds.jobs):
+    for checked, failures in map_jobs(_rgroup_chunk, cases, bounds.jobs):
         res.checked += checked
         res.failures.extend(failures)
 
@@ -328,7 +331,7 @@ def _suite_counting(bounds: Bounds, res: SuiteResult) -> None:
             if case[1].denominator <= 2:
                 cases.append(case)
     deviated = 0
-    for checked, failures, deviations in _map_jobs(_counting_chunk, cases, bounds.jobs):
+    for checked, failures, deviations in map_jobs(_counting_chunk, cases, bounds.jobs):
         res.checked += checked
         res.failures.extend(failures)
         deviated += len(deviations)
@@ -367,11 +370,19 @@ _SUITES: dict[str, Callable[[Bounds, SuiteResult], None]] = {
 }
 
 
-def _map_jobs(fn, cases, jobs: int):
-    if jobs <= 1 or len(cases) < 2:
+def map_jobs(fn, cases, jobs: int) -> list:
+    """[fn(c) for c in cases], spread over worker processes when jobs > 1.
+
+    Raises ValueError for jobs < 1. Starts at most min(jobs, CPU count,
+    number of cases) workers, and none when that is 1.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, os.cpu_count() or 1, len(cases))
+    if workers <= 1:
         return [fn(c) for c in cases]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, cases, chunksize=max(1, len(cases) // (8 * jobs))))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, cases, chunksize=max(1, len(cases) // (8 * workers))))
 
 
 def run_selftest(suites: Optional[Iterable[str]] = None,
@@ -383,12 +394,17 @@ def run_selftest(suites: Optional[Iterable[str]] = None,
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     total_failures = 0
+    failed_suites = []
     for name in names:
         res = SuiteResult(name)
         started = time.perf_counter()
         _SUITES[name](bounds, res)
         res.seconds = time.perf_counter() - started
+        if not res.checked:
+            res.notes.append("no checks ran: the bounds select no cases")
         status = "ok" if res.ok() else "FAIL"
+        if not res.ok():
+            failed_suites.append(name)
         emit(f"suite {name:<10} {status:<4} {res.checked:6d} checks "
              f"{len(res.failures):3d} failures  {res.seconds:7.2f}s")
         for note in res.notes:
@@ -398,6 +414,7 @@ def run_selftest(suites: Optional[Iterable[str]] = None,
         if len(res.failures) > 10:
             emit(f"  ... {len(res.failures) - 10} more")
         total_failures += len(res.failures)
-    emit("selftest: " + ("all suites passed" if not total_failures
-                         else f"{total_failures} failures"))
-    return 0 if not total_failures else 1
+    emit("selftest: " + ("all suites passed" if not failed_suites
+                         else f"{total_failures} failures; failed suites: "
+                              + ", ".join(failed_suites)))
+    return 0 if not failed_suites else 1

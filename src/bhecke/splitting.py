@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 from .partitions import (
@@ -146,24 +145,42 @@ def residual_counts(lam: Partition, m: Fraction) -> tuple[int, int]:
     (1 on two-coordinate roots, m on one-coordinate ones) and the roots
     evaluating to zero. At m = 0 a zero one-coordinate value meets both
     counts; the formula is used as written.
+
+    The count runs in integers. With m = a/d in lowest terms every
+    d*gamma_i = d*content + a is an integer, and h[v] is the number of
+    boxes with d*gamma_i = v. The roots +-e_i count h[a] + h[-a] poles
+    and 2*h[0] zeros. Over the pairs i < j, e_i - e_j and e_j - e_i give
+    one pole per ordered pair with d*(gamma_i - gamma_j) = d, which is
+    sum h[v]*h[v-d]; +-(e_i + e_j) give one pole per unordered pair with
+    d*(gamma_i + gamma_j) = +-d, which is (sum h[v]*h[+-d-v] - h[+-d/2])/2,
+    the term h[+-d/2] (present only for even d) removing the self-pairs.
+    Zeros: each pair of equal values vanishes on both differences,
+    sum h[v]*(h[v]-1), and each pair of opposite values on both sums,
+    sum h[v]*h[-v] - h[0]. The cost is linear in the number of boxes.
     """
     if not lam:
         raise ValueError("lam must be nonempty")
-    mm = Fraction(m)
-    gamma = [content(box) + mm for box in boxes(lam)]
-    poles = zeros = 0
-    for gi in gamma:
-        for val in (gi, -gi):
-            if val == mm:
-                poles += 1
-            if val == 0:
-                zeros += 1
-    for gi, gj in combinations(gamma, 2):
-        for val in (gi + gj, gi - gj, -gi + gj, -gi - gj):
-            if val == 1:
-                poles += 1
-            if val == 0:
-                zeros += 1
+    a, d = Fraction(m).as_integer_ratio()
+    hist: dict[int, int] = {}
+    for row, length in enumerate(lam):
+        for col in range(length):
+            v = d * (col - row) + a
+            hist[v] = hist.get(v, 0) + 1
+    h = hist.get
+    poles = h(a, 0) + h(-a, 0)
+    zeros = 2 * h(0, 0)
+    shifted = plus = minus = equal = opposite = 0
+    for v, k in hist.items():
+        shifted += k * h(v - d, 0)
+        plus += k * h(d - v, 0)
+        minus += k * h(-d - v, 0)
+        equal += k * (k - 1)
+        opposite += k * h(-v, 0)
+    if d % 2 == 0:
+        plus -= h(d // 2, 0)
+        minus -= h(-d // 2, 0)
+    poles += shifted + plus // 2 + minus // 2
+    zeros += equal + opposite - h(0, 0)
     return poles, zeros
 
 

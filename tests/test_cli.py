@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from bhecke import selftest
 from bhecke.cli import main
 
 
@@ -259,9 +260,95 @@ class TestSelftestCommand:
         assert code == 0
         assert "all suites passed" in out
 
+    def test_suite_with_no_checks_fails(self, capsys):
+        code, out, _ = run_cli(
+            ["selftest", "--suite", "symbols", "--suite", "rgroup",
+             "--suite", "counting", "--bound-n", "0"], capsys)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0].split()[:3] == ["suite", "symbols", "ok"]
+        assert lines[1].split()[:4] == ["suite", "rgroup", "FAIL", "0"]
+        assert "no checks ran" in lines[2]
+        assert lines[3].split()[:4] == ["suite", "counting", "FAIL", "0"]
+        assert "all suites passed" not in out
+        assert lines[-1] == "selftest: 0 failures; failed suites: rgroup, counting"
+
     def test_unknown_suite_is_a_usage_error(self, capsys):
         code, _, _ = run_cli(["selftest", "--suite", "nonsense"], capsys)
         assert code == 2
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["rgroup", "-n", "2", "-m", "1/0", "--kappa", "2"], "-m"),
+    (["symbols", "--first", "1", "--second", "", "-m", "1/0"], "-m"),
+    (["residual", "-l", "-1", "-m", "1"], "-l"),
+    (["table", "-n", "0"], "-n"),
+    (["table", "-n", "2", "--jobs", "0"], "--jobs"),
+    (["selftest", "--suite", "pairs", "--jobs", "0"], "--jobs"),
+], ids=["rgroup-zero-denominator", "symbols-zero-denominator",
+        "residual-negative-weight", "table-rank-zero", "table-jobs-zero",
+        "selftest-jobs-zero"])
+def test_bad_input_is_a_usage_error(capsys, argv, field):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"argument {field}:" in err
+    assert "Traceback" not in err
+
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records the worker count, runs in-process."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, cases, chunksize=1):
+        return map(fn, cases)
+
+
+class TestJobs:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        _FakePool.started = []
+        monkeypatch.setattr(selftest, "ProcessPoolExecutor", _FakePool)
+        return _FakePool.started
+
+    @pytest.mark.parametrize("jobs, cpus, cases, workers", [
+        (64, 3, 10, [3]),    # clamped to the CPU count
+        (64, 16, 2, [2]),    # clamped to the number of cases
+        (2, 16, 10, [2]),
+        (1, 16, 10, []),     # one job never starts a pool
+        (4, 1, 10, []),      # nor does one CPU
+        (4, None, 10, []),   # an unknown CPU count counts as one
+        (4, 4, 1, []),       # nor does a single case
+    ])
+    def test_worker_count_is_clamped(self, pool, monkeypatch, jobs, cpus, cases, workers):
+        monkeypatch.setattr(selftest.os, "cpu_count", lambda: cpus)
+        assert selftest.map_jobs(abs, range(-cases, 0), jobs) == list(range(cases, 0, -1))
+        assert pool == workers
+
+    def test_jobs_below_one_are_rejected(self, pool):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            selftest.map_jobs(abs, [1, 2], 0)
+        assert pool == []
+
+    def test_table_clamps_jobs(self, pool, monkeypatch, capsys):
+        monkeypatch.setattr(selftest.os, "cpu_count", lambda: 2)
+        argv = ["table", "-n", "3", "--m-list", "1", "--json"]
+        _, serial, _ = run_cli(argv, capsys)
+        assert pool == []
+        code, clamped, _ = run_cli(argv + ["--jobs", "1000"], capsys)
+        assert code == 0
+        assert pool == [2]
+        assert clamped == serial
 
 
 class TestConvertC:

@@ -1,13 +1,15 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bhecke.partitions import enumerate_partitions, strip
+from bhecke.partitions import boxes, content, enumerate_partitions, strip
 from bhecke.splitting import (
     Orientation,
     central_character,
     is_residual_point,
+    residual_counts,
     residual_partitions,
     split,
     validate_datum,
@@ -43,6 +45,44 @@ def test_is_residual_point_frozen(lam, m, expect):
 def test_is_residual_point_rejects_empty():
     with pytest.raises(ValueError):
         is_residual_point((), Fraction(1))
+    with pytest.raises(ValueError):
+        residual_counts((), Fraction(1))
+
+
+def pairwise_counts(lam, m):
+    """The root count written out root by root: the definition, in Fraction."""
+    gamma = [content(box) + m for box in boxes(lam)]
+    poles = zeros = 0
+    for gi in gamma:
+        for val in (gi, -gi):
+            poles += val == m
+            zeros += val == 0
+    for gi, gj in combinations(gamma, 2):
+        for val in (gi + gj, gi - gj, -gi + gj, -gi - gj):
+            poles += val == 1
+            zeros += val == 0
+    return poles, zeros
+
+
+# m = a/d for d <= 4 and 0 <= m <= 5: integers, halves, and the odd d = 3.
+_SWEEP_MS = sorted({Fraction(a, d) for d in range(1, 5) for a in range(5 * d + 1)})
+
+
+@pytest.mark.parametrize("m", _SWEEP_MS, ids=str)
+def test_residual_counts_match_pairwise(m):
+    for l in range(1, 11):
+        for lam in enumerate_partitions(l):
+            assert residual_counts(lam, m) == pairwise_counts(lam, m), (lam, m)
+
+
+def test_residual_counts_worked_values():
+    # m = 0 counts each zero one-coordinate root as a pole and a zero.
+    assert residual_counts((1,), Fraction(0)) == (2, 2)
+    # gamma = (1, 2, 0, -1): poles at e_1, -e_4 and six pair roots; zeros at
+    # +-e_3 and +-(e_1 + e_4).
+    assert residual_counts((2, 1, 1), Fraction(1)) == (8, 4)
+    # gamma = (1/2, 3/2, -1/2, 1/2): 9 - 6 = 3 != 4, not residual.
+    assert residual_counts((2, 2), Fraction(1, 2)) == (9, 6)
 
 
 # (lam, m, xi, eta); None means the split is undefined.
@@ -125,6 +165,10 @@ def test_residual_partitions():
     assert residual_partitions(2, Fraction(1, 2)) == [(2,)]
     got = residual_partitions(4, Fraction(1))
     assert (1, 1, 1, 1) in got and (2, 2) in got
+
+
+def test_residual_partitions_weight_thirty():
+    assert len(residual_partitions(30, Fraction(3))) == 2164
 
 
 def test_central_character_concatenation():
