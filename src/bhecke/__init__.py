@@ -52,6 +52,7 @@ from .rgroup import (
     d_value,
     generator,
     glue_strip_geometric,
+    induction_data,
     r_group,
     restricted_root_system,
 )
@@ -87,7 +88,7 @@ __all__ = [
     "central_character", "component_group_order_m1", "content",
     "convert_C_labels", "d_value", "datum_error", "enumerate_partitions",
     "generator",
-    "glue_strip_geometric", "interval_count_check", "intervals",
+    "glue_strip_geometric", "induction_data", "interval_count_check", "intervals",
     "is_residual_point", "m_tableau", "pieri_induct", "pole_order_A_part",
     "pole_order_block", "pole_order_pair", "pole_order_short_blockwise",
     "pole_order_short_direct", "r_group", "residual_counts",

@@ -21,24 +21,17 @@ import argparse
 import csv
 import json
 import sys
-import warnings
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .partitions import (
     Bipartition,
-    enumerate_partitions,
     fmt_ratio,
     parse_partition,
     parse_ratio,
 )
-from .report import SCHEMA_VERSION, build_report
-from .rgroup import (
-    GluingAmbiguityWarning,
-    InductionDatum,
-    _check_bound,
-    convert_C_labels,
-)
+from .report import SCHEMA_VERSION, build_report, split_fields
+from .rgroup import InductionDatum, _check_bound, convert_C_labels, induction_data
 from .selftest import SUITE_NAMES, Bounds, map_jobs, run_selftest
 from .splitting import residual_partitions, split
 from .symbols import (
@@ -192,17 +185,7 @@ def _split_doc(lam, m) -> dict:
     sr = split(lam, m)
     doc = {"lam": list(lam), "m": fmt_ratio(m), "defined": sr is not None}
     if sr is not None:
-        doc["first"] = list(sr.bipartition.first)
-        doc["second"] = list(sr.bipartition.second)
-        doc["blocks"] = [
-            {
-                "orientation": blk.orientation.value,
-                "entryLow": fmt_ratio(blk.entry_low),
-                "entryHigh": fmt_ratio(blk.entry_high),
-                "length": len(blk),
-            }
-            for blk in sr.blocks
-        ]
+        doc.update(split_fields(sr))
     return doc
 
 
@@ -298,10 +281,7 @@ def cmd_symbols(args) -> int:
 
 def _table_row(case) -> dict:
     n, m, kappa, mu = case
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GluingAmbiguityWarning)
-        xi = InductionDatum(n, m, kappa, mu)
-        rep = build_report(xi)
+    rep = build_report(InductionDatum(n, m, kappa, mu))
     cls = rep["springerClass"]
     checks = rep["checks"]
     return {
@@ -324,17 +304,6 @@ def _table_row(case) -> dict:
     }
 
 
-def _table_cases(n: int, ms) -> list:
-    cases = []
-    for m in ms:
-        for k in range(n + 1):
-            kappas = enumerate_partitions(k) if k else [()]
-            for mu in residual_partitions(n - k, m):
-                for kappa in kappas:
-                    cases.append((n, m, kappa, mu))
-    return cases
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -346,7 +315,7 @@ def _csv_cell(value) -> str:
 
 
 def cmd_table(args) -> int:
-    cases = _table_cases(args.n, args.m_list)
+    cases = induction_data(args.n, args.m_list)
     rows = map_jobs(_table_row, cases, args.jobs)
     if args.json:
         _json_out({"schemaVersion": SCHEMA_VERSION, "rows": rows})
@@ -492,10 +461,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "pass. Available suites: " + ", ".join(SUITE_NAMES) + ".")
     p.add_argument("--suite", action="append", choices=SUITE_NAMES,
                    help="run only this suite (repeatable)")
-    p.add_argument("--bound-n", type=int, default=6,
-                   help="rank bound for the sweep suites (default 6)")
-    p.add_argument("--bound-l", type=int, default=10,
-                   help="weight bound for the gluing sweep (default 10)")
+    p.add_argument("--bound-n", type=_at_least(0), default=Bounds().bound_n,
+                   help="rank bound for the sweep suites (default %(default)s)")
+    p.add_argument("--bound-l", type=_at_least(0), default=Bounds().bound_l,
+                   help="weight bound for the gluing sweep (default %(default)s)")
     p.add_argument("--jobs", type=_at_least(1), default=1,
                    help="worker processes (at most the CPU count)")
     p.set_defaults(func=cmd_selftest)

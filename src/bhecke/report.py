@@ -11,7 +11,6 @@ consistency checks.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from fractions import Fraction
 from typing import Any, Optional
@@ -30,7 +29,7 @@ from .rgroup import (
     r_group,
     restricted_root_system,
 )
-from .splitting import central_character, residual_counts, split
+from .splitting import SplitResult, central_character, residual_counts, split
 from .symbols import (
     cardinality_check,
     interval_count_check,
@@ -42,7 +41,7 @@ from .symbols import (
 
 SCHEMA_VERSION = 1
 
-__all__ = ["SCHEMA_VERSION", "build_report"]
+__all__ = ["SCHEMA_VERSION", "build_report", "split_fields"]
 
 
 def _parts(p) -> list:
@@ -54,15 +53,21 @@ def _generator_entry(g: SignedPermutation) -> dict:
     return {"word": f"[{word}]", "images": list(g.images)}
 
 
-def _span(generators: tuple[SignedPermutation, ...], n: int) -> set:
-    out = {SignedPermutation.identity(n).images}
-    for k in range(1, len(generators) + 1):
-        for combo in itertools.combinations(generators, k):
-            w = combo[0]
-            for g in combo[1:]:
-                w = w * g
-            out.add(w.images)
-    return out
+def split_fields(sr: SplitResult) -> dict:
+    """The first, second and blocks fields of a defined split."""
+    return {
+        "first": _parts(sr.bipartition.first),
+        "second": _parts(sr.bipartition.second),
+        "blocks": [
+            {
+                "orientation": blk.orientation.value,
+                "entryLow": fmt_ratio(blk.entry_low),
+                "entryHigh": fmt_ratio(blk.entry_high),
+                "length": len(blk),
+            }
+            for blk in sr.blocks
+        ],
+    }
 
 
 def build_report(xi: InductionDatum, oracle: bool = False) -> dict:
@@ -84,19 +89,6 @@ def build_report(xi: InductionDatum, oracle: bool = False) -> dict:
     checks["residual"] = residual
 
     sr = split(xi.mu, xi.m)
-    split_doc = {
-        "first": _parts(sr.bipartition.first),
-        "second": _parts(sr.bipartition.second),
-        "blocks": [
-            {
-                "orientation": blk.orientation.value,
-                "entryLow": fmt_ratio(blk.entry_low),
-                "entryHigh": fmt_ratio(blk.entry_high),
-                "length": len(blk),
-            }
-            for blk in sr.blocks
-        ],
-    }
 
     pole_doc = []
     blockwise_ok = True
@@ -159,7 +151,7 @@ def build_report(xi: InductionDatum, oracle: bool = False) -> dict:
             "codimension": xi.l,
             "isResidual": residual,
         },
-        "splitResult": split_doc,
+        "splitResult": split_fields(sr),
         "poleOrders": pole_doc,
         "rootSystemFactors": [
             {"type": kind, "rank": rank} for kind, rank in rs.factors
@@ -182,7 +174,7 @@ def build_report(xi: InductionDatum, oracle: bool = False) -> dict:
         expected = rs.weyl_order * (1 << rg.d)
         checks["oracleStabilizerOrder"] = len(w_all) == expected
         brute_images = {g.images for g in r_brute}
-        checks["oracleRGroup"] = brute_images == _span(rg.generators, xi.n)
+        checks["oracleRGroup"] = brute_images == rg.elements(xi.n)
         report["oracle"] = {
             "stabilizerOrder": len(w_all),
             "expectedStabilizerOrder": expected,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import os
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +28,7 @@ from .partitions import (
     m_tableau,
     strip,
 )
-from .splitting import central_character, datum_error, split
+from .splitting import central_character, datum_error, residual_partitions, split
 
 __all__ = [
     "DEFAULT_BRUTE_BOUND",
@@ -45,6 +45,7 @@ __all__ = [
     "d_value",
     "generator",
     "glue_strip_geometric",
+    "induction_data",
     "r_group",
     "restricted_root_system",
 ]
@@ -103,6 +104,20 @@ class InductionDatum:
                                              key=lambda p: self.kappa[p]):
             out.append((length, tuple(grp)))
         return tuple(out)
+
+
+def induction_data(n: int, ms: Iterable[Fraction]) -> list[tuple]:
+    """Every valid datum (n, m, kappa, mu) of rank n as a plain tuple, for
+    each m of ms in turn and each k = |kappa| from 0 to n: mu runs over the
+    residual partitions of n - k at m, and kappa over the partitions of k."""
+    out = []
+    for m in ms:
+        for k in range(n + 1):
+            kappas = enumerate_partitions(k) if k else [()]
+            for mu in residual_partitions(n - k, m):
+                for kappa in kappas:
+                    out.append((n, m, kappa, mu))
+    return out
 
 
 def can_glue(p: int, mu: Partition, m: Fraction) -> bool:
@@ -303,6 +318,14 @@ class RGroupResult:
     generators: tuple[SignedPermutation, ...]
     component_count: int
     component_labels: tuple[tuple[tuple[int, ...], Optional[Partition]], ...]
+
+    def elements(self, n: int) -> set[tuple[int, ...]]:
+        """Images of the 2**d products of distinct generators in W(B_n),
+        the identity included: the group the generators span."""
+        span = [SignedPermutation.identity(n)]
+        for g in self.generators:
+            span += [w * g for w in span]
+        return {w.images for w in span}
 
 
 def _glue_label(mu: Partition, lengths: tuple[int, ...], m: Fraction) -> Optional[Partition]:

@@ -1,5 +1,11 @@
 """Acceptance gate: one test per release criterion, at full stated bounds.
 
+Criterion 1 checks the rank-36 worked example directly. Criteria 2-8 each
+run one selftest suite at RELEASE_BOUNDS, the suite being the only
+implementation of its sweep, and assert that it failed nowhere, ran at
+least as many checks as it did when the gate moved onto the suites, and
+kept within the criterion's wall-time bound.
+
 Run with -v to get one pass/fail line per criterion. Two companion tests
 are marked strict-xfail: they assert literal display values that are
 arithmetically infeasible (entry sums) or classically expected identities
@@ -7,71 +13,37 @@ that admit counterexamples; the README documents both families and the
 green tests pin the computed values so any drift fails loudly.
 """
 
-import itertools
 import time
-import warnings
 from fractions import Fraction
 
 import pytest
 
 from bhecke import (
     Bipartition,
-    GluingAmbiguityWarning,
     InductionDatum,
-    SignedPermutation,
-    a_m,
-    brute_force_R,
-    brute_force_W_xi_xi,
-    can_glue,
-    cardinality_check,
-    component_group_order_m1,
-    d_value,
-    enumerate_partitions,
-    glue_strip_geometric,
-    interval_count_check,
     intervals,
-    is_residual_point,
-    pole_order_pair,
-    pole_order_short_blockwise,
-    pole_order_short_direct,
     r_group,
-    residual_partitions,
-    restricted_root_system,
-    similarity_class,
     split,
     springer_correspondents,
     symbol,
-    variants_for_m,
 )
-from bhecke.selftest import KNOWN_COUNTING_DEVIATIONS
-from bhecke.symbols import MINUS_ZERO, PLUS_ZERO, SymbolVariant
+from bhecke.selftest import KNOWN_COUNTING_DEVIATIONS, RELEASE_BOUNDS, run_suite
+from bhecke.symbols import SymbolVariant
 
 F = Fraction
 
 
-def halves(lo, hi):
-    return [F(k, 2) for k in range(2 * lo, 2 * hi + 1)]
-
-
-def quiet_datum(n, m, kappa, mu):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GluingAmbiguityWarning)
-        return InductionDatum(n, m, kappa, mu)
-
-
-def valid_data(n, ms):
-    for m in ms:
-        for k in range(n + 1):
-            kappas = enumerate_partitions(k) if k else [()]
-            for mu in residual_partitions(n - k, m):
-                for kappa in kappas:
-                    yield (n, m, kappa, mu)
+def assert_passed(res, min_checked, max_seconds):
+    """No failures, no fewer checks than the floor, within the time bound."""
+    assert res.failures == []
+    assert res.checked >= min_checked
+    assert res.seconds < max_seconds
 
 
 @pytest.mark.filterwarnings("ignore::bhecke.rgroup.GluingAmbiguityWarning")
 def test_criterion_1_worked_example():
     started = time.perf_counter()
-    xi = quiet_datum(36, F(3), (11, 7, 4, 3), (4, 3, 2, 1, 1))
+    xi = InductionDatum(36, F(3), (11, 7, 4, 3), (4, 3, 2, 1, 1))
     rg = r_group(xi)
     assert rg.gluable_lengths == (11, 7)
     assert rg.d == 2
@@ -101,7 +73,7 @@ def test_criterion_1_worked_example():
            "forces 23. The computed rows (pinned in the test above) satisfy "
            "every other stated property. See README, display discrepancies.")
 def test_criterion_1_rows_as_displayed():
-    xi = quiet_datum(36, F(3), (11, 7, 4, 3), (4, 3, 2, 1, 1))
+    xi = InductionDatum(36, F(3), (11, 7, 4, 3), (4, 3, 2, 1, 1))
     v3 = SymbolVariant("int", F(3))
     seed = symbol(Bipartition((4, 3, 2), (2,)), v3)
     assert (seed.top, seed.bottom) == ((0, 4, 7, 14), (2,))
@@ -111,132 +83,36 @@ def test_criterion_1_rows_as_displayed():
 
 
 def test_criterion_2_principal_series():
-    started = time.perf_counter()
-    for n in range(2, 7):
-        kappa = (1,) * n
-        xi = quiet_datum(n, F(0), kappa, ())
-        assert restricted_root_system(xi).factors == (("D", n),)
-        assert d_value(xi) == 1
-        assert r_group(xi).component_count == 2
-        for m in (F(1), F(3, 2), F(2)):
-            xi = quiet_datum(n, m, kappa, ())
-            factors = restricted_root_system(xi).factors
-            assert not any(kind == "D" and rank >= 2 for kind, rank in factors)
-            assert d_value(xi) == 0
-            assert r_group(xi).component_count == 1
-    assert time.perf_counter() - started < 1.0
+    assert_passed(run_suite("principal", RELEASE_BOUNDS), 45, 1.0)
 
 
 def test_criterion_3_split_iff_residual():
-    started = time.perf_counter()
-    mismatches = []
-    for l in range(1, 13):
-        for lam in enumerate_partitions(l):
-            for m in halves(0, 6):
-                if (split(lam, m) is not None) != is_residual_point(lam, m):
-                    mismatches.append((lam, m))
-    assert mismatches == []
-    assert time.perf_counter() - started < 30.0
+    assert_passed(run_suite("splitting", RELEASE_BOUNDS), 3523, 30.0)
 
 
 def test_criterion_4_three_way_gluing_agreement():
-    started = time.perf_counter()
-    mismatches = []
-    for m in halves(0, 6):
-        for l in range(0, 11):
-            for mu in residual_partitions(l, m):
-                sr = split(mu, m)
-                for p in range(1, 13):
-                    glue = can_glue(p, mu, m)
-                    direct = pole_order_short_direct(p, mu, m)
-                    geometric = bool(glue_strip_geometric(mu, p, m))
-                    blockwise = pole_order_short_blockwise(p, sr, m)
-                    if not (glue == (direct == 0) == geometric
-                            and blockwise == direct):
-                        mismatches.append((p, mu, m))
-    assert mismatches == []
-    assert time.perf_counter() - started < 120.0
+    assert_passed(run_suite("gluing", RELEASE_BOUNDS), 46188, 120.0)
 
 
-@pytest.mark.filterwarnings("ignore::bhecke.rgroup.GluingAmbiguityWarning")
 def test_criterion_5_brute_force_r_group():
-    started = time.perf_counter()
-    mismatches = []
-    for n in range(1, 9):
-        for case in valid_data(n, halves(0, 4)):
-            xi = quiet_datum(*case)
-            rg = r_group(xi)
-            members = brute_force_R(xi)
-            images = {g.images for g in members}
-            span = {SignedPermutation.identity(n).images}
-            for k in range(1, len(rg.generators) + 1):
-                for combo in itertools.combinations(rg.generators, k):
-                    w = combo[0]
-                    for g in combo[1:]:
-                        w = w * g
-                    span.add(w.images)
-            survivors = brute_force_W_xi_xi(xi)
-            expected = restricted_root_system(xi).weyl_order * (1 << rg.d)
-            if not (len(members) == 1 << rg.d
-                    and images == span
-                    and all((g * g).is_identity() for g in members)
-                    and len(survivors) == expected):
-                mismatches.append(case)
-    assert mismatches == []
-    assert time.perf_counter() - started < 600.0
+    assert_passed(run_suite("rgroup", RELEASE_BOUNDS), 12600, 600.0)
 
 
 def test_criterion_6_pair_pole_orders():
-    started = time.perf_counter()
-    for p1 in range(1, 13):
-        for p2 in range(1, 13):
-            for sign in ("-", "+"):
-                assert pole_order_pair(p1, p2, sign) == (1 if p1 == p2 else 0)
-    assert time.perf_counter() - started < 1.0
+    assert_passed(run_suite("pairs", RELEASE_BOUNDS), 288, 1.0)
 
 
-def counting_deviation(case):
-    """The datum key if any counting identity fails on it, else None."""
-    n, m, kappa, mu = case
-    xi = quiet_datum(n, m, kappa, mu)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GluingAmbiguityWarning)
-        ok = cardinality_check(xi) and interval_count_check(xi)
-        if ok and m == 1:
-            full = springer_correspondents(xi)
-            part = similarity_class(split(mu, m).bipartition, full.variant)
-            i_full = len(intervals(symbol(full.representative(), full.variant)))
-            i_part = len(intervals(symbol(part.representative(), full.variant)))
-            if i_full >= 1 and i_part >= 1:
-                quotient = (
-                    component_group_order_m1(symbol(full.representative(), full.variant))
-                    / component_group_order_m1(symbol(part.representative(), full.variant)))
-                ok = quotient == 1 << d_value(xi)
-    return None if ok else case
+@pytest.fixture(scope="module")
+def counting():
+    """The counting suite at the release bounds, run once for both tests."""
+    return run_suite("counting", RELEASE_BOUNDS)
 
 
-def counting_sweep():
-    deviations = set()
-    checked = 0
-    for n in range(1, 9):
-        for case in valid_data(n, halves(0, 4)):
-            if case[1].denominator > 2:
-                continue
-            checked += 1
-            key = counting_deviation(case)
-            if key is not None:
-                deviations.add(key)
-    return checked, deviations
-
-
-def test_criterion_7_counting_identities():
-    started = time.perf_counter()
-    checked, deviations = counting_sweep()
-    assert checked > 3000
+def test_criterion_7_counting_identities(counting):
+    assert_passed(counting, 6597, 120.0)
     clean_m = {F(0), F(2), F(5, 2), F(3), F(7, 2), F(4)}
-    assert not {d for d in deviations if d[1] in clean_m}
-    assert deviations == set(KNOWN_COUNTING_DEVIATIONS)
-    assert time.perf_counter() - started < 120.0
+    assert not {key for key in counting.deviations if key[1] in clean_m}
+    assert set(counting.deviations) == KNOWN_COUNTING_DEVIATIONS
 
 
 @pytest.mark.xfail(
@@ -250,23 +126,9 @@ def test_criterion_7_counting_identities():
            "three-way gluing agreement and the brute-force sweep. The green "
            "test above pins the deviation set in both directions. "
            "See README, counting identity counterexamples.")
-def test_criterion_7_zero_mismatches_as_stated():
-    _, deviations = counting_sweep()
-    assert deviations == set()
+def test_criterion_7_zero_mismatches_as_stated(counting):
+    assert set(counting.deviations) == set()
 
 
 def test_criterion_8_symbol_goldens():
-    started = time.perf_counter()
-    bp = Bipartition((2, 1), (3,))
-    assert (symbol(bp, PLUS_ZERO).top, symbol(bp, PLUS_ZERO).bottom) \
-        == ((1, 4), (0, 5))
-    assert (symbol(bp, MINUS_ZERO).top, symbol(bp, MINUS_ZERO).bottom) \
-        == ((1, 4), (0, 5))
-    neg = symbol(bp, SymbolVariant("int", F(-2)))
-    assert (neg.top, neg.bottom) == ((1, 4), (0, 2, 4, 9))
-    pos = symbol(bp, SymbolVariant("int", F(2)))
-    assert (pos.top, pos.bottom) == ((0, 3, 6), (3,))
-    for n in range(1, 6):
-        sign = Bipartition((), (1,) * n)
-        assert all(a_m(sign, v) == n * n for v in variants_for_m(F(1)))
-    assert time.perf_counter() - started < 1.0
+    assert_passed(run_suite("symbols", RELEASE_BOUNDS), 9, 1.0)

@@ -2,9 +2,14 @@
 and byte-level determinism of the machine-readable formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bhecke
 from bhecke import selftest
 from bhecke.cli import main
 
@@ -277,6 +282,22 @@ class TestSelftestCommand:
         code, _, _ = run_cli(["selftest", "--suite", "nonsense"], capsys)
         assert code == 2
 
+    def test_rgroup_suite_writes_nothing_to_stderr(self):
+        # A separate interpreter, because pytest captures warnings that a
+        # plain run prints to stderr. Rank 7 includes data whose component
+        # labels hit the gluing tie-break.
+        src = str(Path(bhecke.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from bhecke.cli import main; sys.exit(main())",
+             "selftest", "--suite", "rgroup", "--bound-n", "7"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "all suites passed" in proc.stdout
+
 
 @pytest.mark.parametrize("argv, field", [
     (["rgroup", "-n", "2", "-m", "1/0", "--kappa", "2"], "-m"),
@@ -285,9 +306,12 @@ class TestSelftestCommand:
     (["table", "-n", "0"], "-n"),
     (["table", "-n", "2", "--jobs", "0"], "--jobs"),
     (["selftest", "--suite", "pairs", "--jobs", "0"], "--jobs"),
+    (["selftest", "--suite", "pairs", "--bound-n", "-1", "--bound-l", "-5"], "--bound-n"),
+    (["selftest", "--suite", "gluing", "--bound-l", "-1"], "--bound-l"),
 ], ids=["rgroup-zero-denominator", "symbols-zero-denominator",
         "residual-negative-weight", "table-rank-zero", "table-jobs-zero",
-        "selftest-jobs-zero"])
+        "selftest-jobs-zero", "selftest-negative-rank-bound",
+        "selftest-negative-weight-bound"])
 def test_bad_input_is_a_usage_error(capsys, argv, field):
     code, out, err = run_cli(argv, capsys)
     assert code == 2

@@ -19,6 +19,7 @@ from bhecke.rgroup import (
     d_value,
     generator,
     glue_strip_geometric,
+    induction_data,
     r_group,
     restricted_root_system,
 )
@@ -183,6 +184,46 @@ class TestRGroup:
         xi = InductionDatum(6, 0, (2, 1, 1), (2,))
         rg = r_group(xi)
         assert len(rg.component_labels) == rg.component_count == 1 << rg.d
+
+    def test_elements_without_generators_is_the_identity(self):
+        rg = r_group(InductionDatum(2, F(1, 2), (), (2,)))
+        assert rg.d == 0
+        assert rg.elements(2) == {(1, 2)}
+
+    @pytest.mark.filterwarnings("ignore::bhecke.rgroup.GluingAmbiguityWarning")
+    def test_elements_of_the_worked_example(self):
+        rg = r_group(WORKED)
+        span = rg.elements(36)
+        assert len(span) == 4
+        for images in span:
+            w = SignedPermutation(images)
+            assert (w * w).is_identity()
+        assert {g.images for g in rg.generators} <= span
+        assert tuple(range(1, 37)) in span
+
+
+class TestInductionData:
+    HALVES = [F(k, 2) for k in range(9)]
+
+    @pytest.mark.parametrize("bound, count", [(6, 1055), (8, 3150)])
+    def test_counts(self, bound, count):
+        assert sum(len(induction_data(n, self.HALVES))
+                   for n in range(1, bound + 1)) == count
+
+    def test_every_datum_is_valid_and_distinct(self):
+        data = induction_data(5, self.HALVES)
+        assert len(set(data)) == len(data)
+        for n, m, kappa, mu in data:
+            InductionDatum(n, m, kappa, mu)
+
+    def test_order_is_m_then_strip_weight(self):
+        data = induction_data(3, [F(1), F(0)])
+        assert data[0] == (3, F(1), (), (3,))
+        ms = [m for _, m, _, _ in data]
+        assert ms == sorted(ms, reverse=True)
+        for m in (F(1), F(0)):
+            weights = [sum(kappa) for _, mm, kappa, _ in data if mm == m]
+            assert weights == sorted(weights)
 
 
 class TestBruteForce:
