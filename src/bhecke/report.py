@@ -127,8 +127,8 @@ def build_report(xi: InductionDatum, oracle: bool = False) -> dict:
             "symbol": {"top": list(rep_symbol.top), "bottom": list(rep_symbol.bottom)},
             "intervals": [list(iv) for iv in intervals(rep_symbol)],
         }
-        checks["cardinality"] = cardinality_check(xi)
-        checks["intervalCount"] = interval_count_check(xi)
+        checks["cardinality"] = cardinality_check(xi, cls)
+        checks["intervalCount"] = interval_count_check(xi, cls)
         if xi.m == 0:
             springer_doc["variantsChecked"] = [v.label for v in variants_for_m(xi.m)]
     else:

@@ -193,28 +193,22 @@ class CharacterSet:
 def similarity_class(b: Bipartition, variant: SymbolVariant) -> CharacterSet:
     """All bipartitions whose symbol has the same entry multiset.
 
-    Enumerated by splitting the multiset into candidate rows (the variant
-    pins both padded row lengths) and keeping the splits that decode to a
-    bipartition reproducing the multiset, so no scan of all bipartitions of
-    that weight is needed.
+    Rows are strictly increasing, so an entry occurring twice in the
+    multiset sits once in each row; only the s entries occurring once can
+    change rows. The variant pins the top-row length t, so the candidates
+    are the C(s, t - #doubles) ways to pick the top-row singles. A
+    candidate is kept if its rows decode to a bipartition reproducing the
+    multiset, so no scan of all bipartitions of that weight is needed.
     """
-    target = symbol(b, variant).entry_multiset()
-    t = len(symbol(b, variant).top)
+    s = symbol(b, variant)
+    target = s.entry_multiset()
+    counts = Counter(target)
+    doubles = [v for v, c in counts.items() if c == 2]
+    singles = [v for v, c in counts.items() if c == 1]
     members = set()
-    seen = set()
-    for pos in itertools.combinations(range(len(target)), t):
-        top = tuple(target[i] for i in pos)
-        if top in seen:
-            continue
-        seen.add(top)
-        rest = list(target)
-        for i in reversed(pos):
-            rest.pop(i)
-        bottom = tuple(rest)
-        if any(a >= c for a, c in zip(top, top[1:])):
-            continue
-        if any(a >= c for a, c in zip(bottom, bottom[1:])):
-            continue
+    for chosen in itertools.combinations(singles, len(s.top) - len(doubles)):
+        top = tuple(sorted(doubles + list(chosen)))
+        bottom = tuple(sorted(doubles + [v for v in singles if v not in chosen]))
         cand = _decode_member(top, bottom, variant)
         if cand is None:
             continue
@@ -322,12 +316,15 @@ def intervals(s: Symbol) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in runs]
 
 
-def interval_count_check(xi: InductionDatum) -> bool:
+def interval_count_check(xi: InductionDatum,
+                         full: Optional[CharacterSet] = None) -> bool:
     """Interval count of the induced class equals that of the mu-part class
-    plus the number of gluable strip-length classes."""
+    plus the number of gluable strip-length classes. full is the datum's
+    springer_correspondents class, computed here when not given."""
     if Fraction(xi.m).denominator > 2:
         raise ValueError("interval counting requires integer or half-integer m")
-    full = springer_correspondents(xi)
+    if full is None:
+        full = springer_correspondents(xi)
     i_full = len(intervals(symbol(full.representative(), full.variant)))
     part = split(xi.mu, xi.m).bipartition
     i_part = len(intervals(symbol(part, full.variant)))
@@ -343,9 +340,12 @@ def component_group_order_m1(s: Symbol) -> int:
     return 1 << max(count - 1, 0)
 
 
-def cardinality_check(xi: InductionDatum) -> bool:
-    """|induced class| = 2^d * |mu-part class|."""
-    full = springer_correspondents(xi)
+def cardinality_check(xi: InductionDatum,
+                      full: Optional[CharacterSet] = None) -> bool:
+    """|induced class| = 2^d * |mu-part class|. full is the datum's
+    springer_correspondents class, computed here when not given."""
+    if full is None:
+        full = springer_correspondents(xi)
     part = split(xi.mu, xi.m).bipartition
     part_size = len(similarity_class(part, full.variant).members)
     return len(full.members) == (1 << d_value(xi)) * part_size

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhecke.partitions import Bipartition
+from bhecke.partitions import Bipartition, enumerate_partitions
 from bhecke.rgroup import GluingAmbiguityWarning, InductionDatum
 from bhecke.splitting import split
 from bhecke.symbols import (
@@ -146,6 +146,25 @@ class TestSimilarity:
         cls = similarity_class(Bipartition((4, 3, 2), (2,)), INT3)
         rep = cls.representative()
         assert (rep.first, rep.second) == ((1,), (10,))
+
+    @pytest.mark.parametrize("m2", [-3, -1] + list(range(9)))
+    def test_matches_scan_of_all_bipartitions(self, m2):
+        # reference: group every bipartition of each weight <= 7 by the
+        # entry multiset of its symbol
+        for variant in variants_for_m(F(m2, 2)):
+            for w in range(8):
+                by_multiset = {}
+                for a in range(w + 1):
+                    for first in enumerate_partitions(a):
+                        for second in enumerate_partitions(w - a):
+                            b = Bipartition(first, second)
+                            key = symbol(b, variant).entry_multiset()
+                            by_multiset.setdefault(key, set()).add(b)
+                for key, members in by_multiset.items():
+                    for b in members:
+                        cls = similarity_class(b, variant)
+                        assert cls.members == members, (b, variant.label)
+                        assert cls.a_value == a_m(b, variant)
 
 
 class TestPieri:
@@ -293,6 +312,15 @@ class TestCounting:
         xi = InductionDatum(14, 3, (3,), (4, 3, 2, 1, 1))
         assert interval_count_check(xi)
         assert cardinality_check(xi)
+
+    @pytest.mark.parametrize("xi,holds", [
+        (worked_datum(), True),
+        (InductionDatum(8, F(3, 2), (2, 1), (1, 1, 1, 1, 1)), False),  # pinned deviation
+    ])
+    def test_checks_take_the_class(self, xi, holds):
+        full = springer_correspondents(xi)
+        assert cardinality_check(xi, full) == cardinality_check(xi) == holds
+        assert interval_count_check(xi, full) == interval_count_check(xi) == holds
 
     def test_interval_check_rejects_third_integers(self):
         xi = worked_datum()
