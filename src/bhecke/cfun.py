@@ -4,16 +4,17 @@ Every factor is (1 - q1^a) for an exact rational exponent a, with q1 generic
 (transcendental > 1), so a factor vanishes iff a = 0 and the pole order of a
 quotient of such products is a matter of counting zero exponents. The
 accompanying (1 + q^...theta) factors never vanish at real positive points
-and are not materialized.
+and are not materialized. The short-root counts run on integers: with
+m = a/d in lowest terms every short-root exponent scaled by 2d is one, and
+Fraction appears only in their arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .partitions import Partition, m_tableau, strip
+from .partitions import Partition
 from .splitting import SplitResult
 
 __all__ = [
@@ -69,35 +70,21 @@ def pole_order_pair(p1: int, p2: int, sign: str) -> int:
     return order(_pair_factors(p1, p2, sign))
 
 
-def _a_part_factors(p: int, m: Fraction) -> FactorProduct:
-    z = Fraction(p - 1, 2)
-    num, den = [], []
-    for d in range(1, p + 1):
-        num.append(-m - z + (d - 1))
-        den.append(-z + (d - 1))
-    for d1, d2 in combinations(range(1, p + 1), 2):
-        num.append(Fraction(-p + d1 + d2 - 2))
-        den.append(Fraction(-p + d1 + d2 - 1))
-    return FactorProduct(tuple(num), tuple(den))
-
-
 def pole_order_A_part(p: int, m: Fraction) -> int:
-    """Pole order of the strip-only part: 0 iff m lies in {(p-1)/2, (p-3)/2, ...}."""
+    """Pole order of the strip-only part: 0 iff m lies in {(p-1)/2, (p-3)/2, ...}.
+
+    Of the factors (1 - q1^(-m - z + k)) / (1 - q1^(-z + k)), 0 <= k < p,
+    and (1 - q1^(k1 + k2 - p)) / (1 - q1^(k1 + k2 - p + 1)), k1 < k2,
+    exactly one denominator vanishes for every p, and one numerator
+    vanishes iff z - m is an integer with |m| <= z, where z = (p-1)/2.
+    With m = a/d in lowest terms that reads |2a| <= d(p-1) with
+    2a = d(p-1) mod 2d.
+    """
     if p < 1:
         raise ValueError("strip length must be >= 1")
-    return order(_a_part_factors(p, Fraction(m)))
-
-
-def _interaction_factors(p: int, mu: Partition, m: Fraction) -> FactorProduct:
-    entries = m_tableau(mu, m).entry_multiset()
-    num, den = [], []
-    for e in strip(p).signed_entries:
-        for ep in entries:
-            den.append(-e + ep)
-            den.append(-e - ep)
-            num.append(-1 - e + ep)
-            num.append(-1 - e - ep)
-    return FactorProduct(tuple(num), tuple(den))
+    a, d = Fraction(m).as_integer_ratio()
+    span = d * (p - 1)
+    return 0 if 2 * abs(a) <= span and (span - 2 * a) % (2 * d) == 0 else 1
 
 
 def pole_order_short_direct(p: int, mu: Partition, m: Fraction) -> int:
@@ -106,13 +93,25 @@ def pole_order_short_direct(p: int, mu: Partition, m: Fraction) -> int:
     Strip-only factors plus, for each (strip box, tableau box) pair, the two
     interaction quotients with exponents -e(box) +- entry(box'); a zero entry
     makes the two coincide and is thereby counted twice, as required.
+
+    The count runs in integers. With m = a/d in lowest terms every entry
+    scaled by 2d is an integer: h[v] counts the tableau boxes with
+    |2(d*content + a)| = v, and the strip entries scale to
+    E = d(2k - p + 1). A strip entry E meets h[E] + h[-E] zero
+    denominators and h[2d + E] + h[-2d - E] zero numerators.
     """
-    mm = Fraction(m)
-    a = _a_part_factors(p, mm)
-    inter = _interaction_factors(p, mu, mm)
-    full = FactorProduct(a.numerator_exponents + inter.numerator_exponents,
-                         a.denominator_exponents + inter.denominator_exponents)
-    return order(full)
+    total = pole_order_A_part(p, m)
+    a, d = Fraction(m).as_integer_ratio()
+    hist: dict[int, int] = {}
+    for row, length in enumerate(mu):
+        for col in range(length):
+            v = abs(2 * (d * (col - row) + a))
+            hist[v] = hist.get(v, 0) + 1
+    h = hist.get
+    for k in range(p):
+        e = d * (2 * k - p + 1)
+        total += h(e, 0) + h(-e, 0) - h(2 * d + e, 0) - h(-2 * d - e, 0)
+    return total
 
 
 def pole_order_block(p: int, block: tuple[Fraction, Fraction]) -> int:
@@ -125,24 +124,28 @@ def pole_order_block(p: int, block: tuple[Fraction, Fraction]) -> int:
     lacks) and the surviving count is +1. Matches the direct factor count of
     pole_order_short_direct blockwise; the equivalence sweep enforces it.
     """
-    x, y = Fraction(block[0]), Fraction(block[1])
-    if not 0 <= x <= y:
+    (xn, xd), (yn, yd) = (v.as_integer_ratio() for v in block)
+    if xn < 0 or xn * yd > yn * xd:
         raise ValueError(f"block entries must satisfy 0 <= x <= y, got {block}")
-    z = Fraction(p - 1, 2)
-    if (z - x).denominator != 1:
+    if xd > 2:
         return 0
-    if z == x - 1:
+    # In units of 1/2: z is p - 1 and x is x2, so z - x is an integer iff
+    # x2 has the parity of p - 1.
+    x2 = 2 * xn // xd
+    if (p - 1 - x2) % 2:
+        return 0
+    if p - 1 == x2 - 2:
         return -1
-    if z == y:
+    if (p - 1) * yd == 2 * yn:
         return 1
-    if z == 0 and x == 0:
+    if p == 1 and xn == 0:
         return 1
     return 0
 
 
 def pole_order_short_blockwise(p: int, split_result: SplitResult, m: Fraction) -> int:
     """Blockwise short-root pole order: strip part plus one term per block."""
-    total = pole_order_A_part(p, Fraction(m))
+    total = pole_order_A_part(p, m)
     for blk in split_result.blocks:
         total += pole_order_block(p, (blk.entry_low, blk.entry_high))
     return total

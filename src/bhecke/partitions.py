@@ -100,8 +100,8 @@ class AStrip:
     """Row of p boxes with entries -(p-1)/2, ..., (p-1)/2 in steps of 1.
 
     The signed entries are the exponents of the length-p factor of a central
-    character; abs_entries is their absolute-value multiset, which is what
-    gluing compares against tableau entries.
+    character; abs_entries is their absolute-value multiset, the entries a
+    gluing adds to a tableau.
     """
 
     length: int

@@ -17,16 +17,14 @@ import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Optional
 
-from .cfun import pole_order_A_part, pole_order_block
+from .cfun import pole_order_short_blockwise
 from .partitions import (
     Partition,
-    is_partition,
+    addable_boxes,
     enumerate_partitions,
-    m_tableau,
-    strip,
+    is_partition,
 )
 from .splitting import central_character, datum_error, residual_partitions, split
 
@@ -131,46 +129,54 @@ def can_glue(p: int, mu: Partition, m: Fraction) -> bool:
         raise ValueError("strip length must be >= 1")
     if not is_partition(mu):
         raise ValueError(f"not a partition: {mu!r}")
-    mm = Fraction(m)
-    z = Fraction(p - 1, 2)
-    if (z - mm).denominator != 1:
-        return False
-    if not mu:
-        return mm <= z
-    sr = split(mu, mm)
+    sr = split(mu, m)
     if sr is None:
-        raise ValueError(f"mu={mu} is not residual at m={mm}")
-    total = pole_order_A_part(p, mm)
-    for blk in sr.blocks:
-        total += pole_order_block(p, (blk.entry_low, blk.entry_high))
-    return total == 0
-
-
-@lru_cache(maxsize=None)
-def _entry_multiset(lam: Partition, m: Fraction) -> tuple[Fraction, ...]:
-    return m_tableau(lam, m).entry_multiset()
+        raise ValueError(f"mu={mu} is not residual at m={Fraction(m)}")
+    return pole_order_short_blockwise(p, sr, m) == 0
 
 
 def glue_strip_geometric(mu: Partition, p: int, m: Fraction) -> list[Partition]:
     """Partitions mu' containing mu whose m-tableau gains exactly the entry
     multiset of a length-p strip. Pure multiset search, no residual hypothesis;
-    descending lexicographic order."""
+    descending lexicographic order.
+
+    Grows mu one addable box at a time and keeps a box only while its entry
+    is still left in the strip's multiset. Entries are scaled by 2d, where
+    m = a/d in lowest terms: a box at (row, col) has |2(d(col - row) + a)|
+    and the strip has {|d(2k - p + 1)| : 0 <= k < p}. Every order of adding
+    the same boxes uses up the same entries, so a shape already seen is not
+    grown again.
+    """
     if p < 1:
         raise ValueError("strip length must be >= 1")
     if not is_partition(mu):
         raise ValueError(f"not a partition: {mu!r}")
-    mm = Fraction(m)
-    total = sum(mu) + p
-    target = tuple(sorted(_entry_multiset(mu, mm) + strip(p).abs_entries))
+    a, d = Fraction(m).as_integer_ratio()
+    left: dict[int, int] = {}
+    for k in range(p):
+        e = abs(d * (2 * k - p + 1))
+        left[e] = left.get(e, 0) + 1
+    seen = set()
     out = []
-    for cand in enumerate_partitions(total, bound=max(40, total)):
-        if len(cand) < len(mu):
-            continue
-        if any(cand[i] < mu[i] for i in range(len(mu))):
-            continue
-        if _entry_multiset(cand, mm) == target:
-            out.append(cand)
-    return out
+
+    def grow(lam: Partition, todo: int) -> None:
+        if todo == 0:
+            out.append(lam)
+            return
+        for row, col in addable_boxes(lam):
+            e = abs(2 * (d * (col - row) + a))
+            if not left.get(e):
+                continue
+            bigger = lam[:row - 1] + (col,) + lam[row:]
+            if bigger in seen:
+                continue
+            seen.add(bigger)
+            left[e] -= 1
+            grow(bigger, todo - 1)
+            left[e] += 1
+
+    grow(mu, p)
+    return sorted(out, reverse=True)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from .partitions import (
     enumerate_partitions,
     fmt_ratio,
     is_partition,
-    m_tableau,
     strip,
 )
 
@@ -90,17 +89,22 @@ def split(lam: Partition, m: Fraction) -> Optional[SplitResult]:
     mm = Fraction(m)
     if mm < 0:
         raise ValueError("m must be >= 0")
-    tab = m_tableau(lam, mm)
-    remaining = set(tab.entries)
+    # With m = a/d in lowest terms every d*(content + m) is an integer, and
+    # its absolute value is the box's entry scaled by d.
+    a, d = mm.as_integer_ratio()
+    entry = {(r, c): abs(d * (c - r) + a)
+             for r, length in enumerate(lam, start=1)
+             for c in range(1, length + 1)}
+    remaining = set(entry)
     blocks: list[Block] = []
 
     while remaining:
-        top = max(tab.entries[b] for b in remaining)
-        argmax = [b for b in remaining if tab.entries[b] == top]
+        top = max(entry[b] for b in remaining)
+        argmax = [b for b in remaining if entry[b] == top]
         if len(argmax) > 1:
             return None
         b = argmax[0]
-        v = content(b) + mm
+        v = d * content(b) + a
         if v == 0:
             return None
         if v > 0:
@@ -111,14 +115,14 @@ def split(lam: Partition, m: Fraction) -> Optional[SplitResult]:
             orientation = Orientation.VERTICAL
 
         run = [b]
-        want = top - 1
+        want = top - d
         r, c = b
         while True:
             nxt = (r + step[0], c + step[1])
-            if nxt not in remaining or tab.entries[nxt] != want:
+            if nxt not in remaining or entry[nxt] != want:
                 break
             run.append(nxt)
-            want -= 1
+            want -= d
             r, c = nxt
 
         run.reverse()  # ascending entries: leftmost / topmost first
@@ -126,8 +130,8 @@ def split(lam: Partition, m: Fraction) -> Optional[SplitResult]:
         blocks.append(Block(
             orientation=orientation,
             boxes=tuple(run),
-            entry_low=tab.entries[run[0]],
-            entry_high=tab.entries[run[-1]],
+            entry_low=Fraction(entry[run[0]], d),
+            entry_high=Fraction(top, d),
         ))
 
     xi = tuple(sorted((len(blk) for blk in blocks

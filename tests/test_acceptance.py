@@ -91,7 +91,7 @@ def test_criterion_3_split_iff_residual():
 
 
 def test_criterion_4_three_way_gluing_agreement():
-    assert_passed(run_suite("gluing", RELEASE_BOUNDS), 46188, 120.0)
+    assert_passed(run_suite("gluing", RELEASE_BOUNDS), 46188, 30.0)
 
 
 def test_criterion_5_brute_force_r_group():
