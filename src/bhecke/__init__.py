@@ -31,7 +31,6 @@ from .splitting import (
     validate_datum,
 )
 from .cfun import (
-    FactorProduct,
     pole_order_A_part,
     pole_order_block,
     pole_order_pair,
@@ -80,7 +79,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AStrip", "Bipartition", "Block", "BoxCoord", "CharacterSet",
-    "FactorProduct", "GluingAmbiguityWarning", "InductionDatum", "MTableau",
+    "GluingAmbiguityWarning", "InductionDatum", "MTableau",
     "MINUS_ZERO", "Orientation", "PLUS_ZERO", "Partition", "RGroupResult",
     "RestrictedRootSystem", "SignedPermutation", "SplitResult", "Symbol",
     "SymbolVariant", "WeylSubset", "a_m", "brute_force_R",

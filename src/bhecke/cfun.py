@@ -4,22 +4,19 @@ Every factor is (1 - q1^a) for an exact rational exponent a, with q1 generic
 (transcendental > 1), so a factor vanishes iff a = 0 and the pole order of a
 quotient of such products is a matter of counting zero exponents. The
 accompanying (1 + q^...theta) factors never vanish at real positive points
-and are not materialized. The short-root counts run on integers: with
-m = a/d in lowest terms every short-root exponent scaled by 2d is one, and
-Fraction appears only in their arguments.
+and are not materialized. Every count runs on integers: the pair
+exponents doubled, and, with m = a/d in lowest terms, the short-root
+exponents scaled by 2d. Fraction appears only in the arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .partitions import Partition
 from .splitting import SplitResult
 
 __all__ = [
-    "FactorProduct",
-    "order",
     "pole_order_A_part",
     "pole_order_block",
     "pole_order_pair",
@@ -28,46 +25,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FactorProduct:
-    """Quotient of products of (1 - q1^a): exponent multisets for num and den."""
-
-    numerator_exponents: tuple[Fraction, ...]
-    denominator_exponents: tuple[Fraction, ...]
-
-
-def order(fp: FactorProduct) -> int:
-    """Pole order at the evaluation point: zero denominators minus zero numerators."""
-    return (list(fp.denominator_exponents).count(0)
-            - list(fp.numerator_exponents).count(0))
-
-
-def _pair_factors(p1: int, p2: int, sign: str) -> FactorProduct:
-    z1 = Fraction(p1 - 1, 2)
-    z2 = Fraction(p2 - 1, 2)
-    num, den = [], []
-    for d1 in range(1, p1 + 1):
-        for d2 in range(1, p2 + 1):
-            if sign == "+":
-                e = -z1 + (d1 - 1) - z2 + (d2 - 1)
-            else:
-                e = z1 - z2 - (d1 - d2)
-            num.append(e - 1)
-            den.append(e)
-    return FactorProduct(tuple(num), tuple(den))
-
-
 def pole_order_pair(p1: int, p2: int, sign: str) -> int:
     """Pole order of the two-factor-class product for strips of lengths p1, p2.
 
-    Both sign choices give 1 when p1 = p2 and 0 otherwise; for p1 + p2 odd
-    every exponent is a half-integer and nothing vanishes.
+    For 0 <= i < p1, 0 <= j < p2 the product has one quotient
+    (1 - q1^(e - 1)) / (1 - q1^e), with e = i + j - (p1 + p2)/2 + 1 for
+    sign "+" and e = (p1 - p2)/2 - (i - j) for sign "-". The count runs
+    on the doubled exponents 2e, which are integers: zero denominators
+    minus zero numerators. Both sign choices give 1 when p1 = p2 and 0
+    otherwise; for p1 + p2 odd every exponent is a half-integer and
+    nothing vanishes.
     """
     if p1 < 1 or p2 < 1:
         raise ValueError("strip lengths must be >= 1")
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    return order(_pair_factors(p1, p2, sign))
+    poles = zeros = 0
+    for i in range(p1):
+        for j in range(p2):
+            e2 = 2 * (i + j) - p1 - p2 + 2 if sign == "+" else p1 - p2 - 2 * (i - j)
+            poles += e2 == 0
+            zeros += e2 == 2
+    return poles - zeros
 
 
 def pole_order_A_part(p: int, m: Fraction) -> int:

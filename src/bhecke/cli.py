@@ -25,7 +25,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .partitions import (
+    ENUMERATION_BOUND,
     Bipartition,
+    check_enumeration_bound,
     fmt_ratio,
     parse_partition,
     parse_ratio,
@@ -63,17 +65,29 @@ def _arg(parse):
     return convert
 
 
+def _int_at_least(text: str, minimum: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
+    if value < minimum:
+        raise ValueError(f"must be an integer >= {minimum}, got {value}")
+    return value
+
+
 def _at_least(minimum: int):
     """An argparse type for an integer >= minimum."""
-    def at_least(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValueError(f"not an integer: {text!r}") from None
-        if value < minimum:
-            raise ValueError(f"must be an integer >= {minimum}, got {value}")
+    return _arg(lambda text: _int_at_least(text, minimum))
+
+
+def _enumerable(minimum: int):
+    """An argparse type for an integer >= minimum whose partitions the
+    command may enumerate: at most the partition enumeration bound."""
+    def enumerable(text: str) -> int:
+        value = _int_at_least(text, minimum)
+        check_enumeration_bound(value)
         return value
-    return _arg(at_least)
+    return _arg(enumerable)
 
 
 def _ratio_list(text: str) -> tuple:
@@ -404,7 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="residual partitions of a weight at a parameter",
         description="List every partition of the given weight that is a "
                     "residual point at m, with its split and symbol rows.")
-    p.add_argument("-l", type=_at_least(0), required=True, help="weight to enumerate (>= 0)")
+    p.add_argument("-l", type=_enumerable(0), required=True,
+                   help="weight to enumerate (0 to %d)" % ENUMERATION_BOUND)
     p.add_argument("-m", type=_arg(parse_ratio), required=True, help="exact fraction")
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=cmd_residual)
@@ -444,7 +459,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "are comma-joined part lists; classSize and aValue are "
                     "empty when m is neither integer nor half-integer; "
                     "check columns hold pass/fail (empty when undefined).")
-    p.add_argument("-n", type=_at_least(1), required=True, help="rank to sweep (>= 1)")
+    p.add_argument("-n", type=_enumerable(1), required=True,
+                   help="rank to sweep (1 to %d)" % ENUMERATION_BOUND)
     p.add_argument("--m-list", type=_arg(_ratio_list), default=_ratio_list("0,1/2,1,3/2,2"),
                    help="comma-separated exact fractions (default 0,1/2,1,3/2,2)")
     p.add_argument("--jobs", type=_at_least(1), default=1,

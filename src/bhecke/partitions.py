@@ -17,11 +17,13 @@ __all__ = [
     "AStrip",
     "Bipartition",
     "BoxCoord",
+    "ENUMERATION_BOUND",
     "MTableau",
     "Partition",
     "addable_boxes",
     "as_partition",
     "boxes",
+    "check_enumeration_bound",
     "content",
     "enumerate_partitions",
     "fmt_ratio",
@@ -141,7 +143,16 @@ def _partitions_of(n: int, maxpart: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def enumerate_partitions(n: int, bound: int = 40) -> list[Partition]:
+ENUMERATION_BOUND = 40
+
+
+def check_enumeration_bound(n: int, bound: int = ENUMERATION_BOUND) -> None:
+    """Refuse to enumerate the partitions of n above the bound."""
+    if n > bound:
+        raise ValueError(f"partition enumeration bound exceeded: {n} > {bound}")
+
+
+def enumerate_partitions(n: int, bound: int = ENUMERATION_BOUND) -> list[Partition]:
     """All partitions of n in descending lexicographic order.
 
     The bound guards against accidental huge enumerations; raise it
@@ -149,8 +160,7 @@ def enumerate_partitions(n: int, bound: int = 40) -> list[Partition]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > bound:
-        raise ValueError(f"partition enumeration bound exceeded: {n} > {bound}")
+    check_enumeration_bound(n, bound)
     return list(_partitions_of(n, n if n else 1))
 
 

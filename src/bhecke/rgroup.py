@@ -26,7 +26,13 @@ from .partitions import (
     enumerate_partitions,
     is_partition,
 )
-from .splitting import central_character, datum_error, residual_partitions, split
+from .splitting import (
+    SplitResult,
+    central_character,
+    datum_error,
+    residual_partitions,
+    split,
+)
 
 __all__ = [
     "DEFAULT_BRUTE_BOUND",
@@ -118,6 +124,20 @@ def induction_data(n: int, ms: Iterable[Fraction]) -> list[tuple]:
     return out
 
 
+def _residual_split(mu: Partition, m: Fraction) -> SplitResult:
+    if not is_partition(mu):
+        raise ValueError(f"not a partition: {mu!r}")
+    sr = split(mu, m)
+    if sr is None:
+        raise ValueError(f"mu={mu} is not residual at m={Fraction(m)}")
+    return sr
+
+
+def _glues(p: int, sr: SplitResult, m: Fraction) -> bool:
+    """The gluing rule on a split mu: the blockwise pole order vanishes."""
+    return pole_order_short_blockwise(p, sr, m) == 0
+
+
 def can_glue(p: int, mu: Partition, m: Fraction) -> bool:
     """Whether a length-p strip glues onto mu: the short-root factor of the
     restricted c-function is regular there.
@@ -127,12 +147,7 @@ def can_glue(p: int, mu: Partition, m: Fraction) -> bool:
     """
     if p < 1:
         raise ValueError("strip length must be >= 1")
-    if not is_partition(mu):
-        raise ValueError(f"not a partition: {mu!r}")
-    sr = split(mu, m)
-    if sr is None:
-        raise ValueError(f"mu={mu} is not residual at m={Fraction(m)}")
-    return pole_order_short_blockwise(p, sr, m) == 0
+    return _glues(p, _residual_split(mu, m), m)
 
 
 def glue_strip_geometric(mu: Partition, p: int, m: Fraction) -> list[Partition]:
@@ -221,10 +236,11 @@ def restricted_root_system(xi: InductionDatum) -> RestrictedRootSystem:
     """Roots E_p +- E_q within each equal-length class, plus E_p on every
     block of a class whose strip length does not glue onto mu."""
     r = xi.r
+    sr = _residual_split(xi.mu, xi.m)
     roots = []
     factors = []
     for length, ps in xi.length_classes():
-        gluable = can_glue(length, xi.mu, xi.m)
+        gluable = _glues(length, sr, xi.m)
         k = len(ps)
         if not gluable:
             factors.append(("B", k))
@@ -244,8 +260,10 @@ def restricted_root_system(xi: InductionDatum) -> RestrictedRootSystem:
 
 
 def _gluable_classes(xi: InductionDatum) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(length, block indices) of each gluable length class; mu is split once."""
+    sr = _residual_split(xi.mu, xi.m)
     return tuple((length, ps) for length, ps in xi.length_classes()
-                 if can_glue(length, xi.mu, xi.m))
+                 if _glues(length, sr, xi.m))
 
 
 def d_value(xi: InductionDatum) -> int:
@@ -301,8 +319,12 @@ class SignedPermutation:
 def generator(xi: InductionDatum, class_index: int) -> SignedPermutation:
     """R-group generator for the class_index-th gluable class (decreasing
     length order): the sign-reversing flip of the last block of that class."""
-    classes = _gluable_classes(xi)
-    length, ps = classes[class_index]
+    length, ps = _gluable_classes(xi)[class_index]
+    return _flip(xi, length, ps)
+
+
+def _flip(xi: InductionDatum, length: int, ps: tuple[int, ...]) -> SignedPermutation:
+    """Reverse the last block of the class with sign: e_(a+j) -> -e_(a+length+1-j)."""
     a = xi.offsets[ps[-1]]
     images = list(range(1, xi.n + 1))
     for j in range(1, length + 1):
@@ -359,7 +381,7 @@ def r_group(xi: InductionDatum) -> RGroupResult:
     classes = _gluable_classes(xi)
     d = len(classes)
     lengths = tuple(length for length, _ in classes)
-    gens = tuple(generator(xi, i) for i in range(d))
+    gens = tuple(_flip(xi, length, ps) for length, ps in classes)
     labels = []
     for size in range(d + 1):
         for J in itertools.combinations(lengths, size):
@@ -485,8 +507,8 @@ def brute_force_R(xi: InductionDatum) -> list[SignedPermutation]:
     offsets = xi.offsets
     class_blocks = tuple(tuple((p, offsets[p]) for p in ps)
                          for _, ps in classes)
-    gluable_flags = tuple(can_glue(length, xi.mu, xi.m)
-                          for length, _ in classes)
+    sr = _residual_split(xi.mu, xi.m)
+    gluable_flags = tuple(_glues(length, sr, xi.m) for length, _ in classes)
     indices = _wscan.r_member_indices(xi.n, xi.kappa, xi.l, _gamma2(xi),
                                       class_blocks, gluable_flags)
     return [SignedPermutation(_wscan.unrank(xi.n, int(k))) for k in indices]

@@ -11,9 +11,11 @@ reducibility count 2^d resurfaces independently of the root-system picture.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .partitions import Bipartition, Partition, fmt_ratio
@@ -103,14 +105,35 @@ class Symbol:
 
 
 def _padded_lengths(variant: SymbolVariant, len_xi: int, len_eta: int) -> tuple[int, int]:
-    if variant.kind == "half":
-        half = abs(variant.m) + Fraction(1, 2)
-        delta = int(half if variant.m > 0 else -half)
+    """Row lengths (top, bottom) after the least zero padding that gives the
+    variant's offset top - bottom: m for whole m, and m rounded away from
+    zero for half m."""
+    num = variant.m.numerator
+    if variant.m.denominator == 2:
+        delta = (num + 1) // 2 if num > 0 else (num - 1) // 2
         t = max(len_xi, len_eta + delta)
         return t, t - delta
-    mi = int(variant.m)
-    b = max(len_eta, len_xi - mi)
-    return b + mi, b
+    b = max(len_eta, len_xi - num)
+    return b + num, b
+
+
+def _base(t: int, bb: int, odd: int) -> list[int]:
+    """Entries of the all-zeros symbol with rows of lengths t and bb."""
+    return [*range(0, 2 * t, 2), *range(odd, 2 * bb + odd, 2)]
+
+
+def _rows(b: Bipartition, variant: SymbolVariant) -> tuple[list[int], int]:
+    """The symbol's entries, top row then bottom row in one list, and the
+    top-row length: the parts laid increasing onto the base 0, 2, 4, ...,
+    the bottom base being 1, 3, 5, ... for half m."""
+    first, second = b.first, b.second
+    t, bb = _padded_lengths(variant, len(first), len(second))
+    vals = _base(t, bb, variant.m.denominator - 1)
+    for i, x in enumerate(sorted(first, reverse=True), 1):
+        vals[t - i] += x
+    for i, x in enumerate(sorted(second, reverse=True), 1):
+        vals[t + bb - i] += x
+    return vals, t
 
 
 def symbol(b: Bipartition, variant: SymbolVariant) -> Symbol:
@@ -118,34 +141,33 @@ def symbol(b: Bipartition, variant: SymbolVariant) -> Symbol:
     zeros to the variant's row-length offset (minimally, so a first part
     stays nonzero whenever possible), top entries shifted by 0,2,4,... and
     bottom entries by the same for whole m or by 1,3,5,... for half m."""
-    xi = tuple(sorted(b.first))
-    eta = tuple(sorted(b.second))
-    t, bb = _padded_lengths(variant, len(xi), len(eta))
-    xi = (0,) * (t - len(xi)) + xi
-    eta = (0,) * (bb - len(eta)) + eta
-    top = tuple(x + 2 * i for i, x in enumerate(xi))
-    if variant.kind == "half":
-        bottom = tuple(e + 2 * i + 1 for i, e in enumerate(eta))
-    else:
-        bottom = tuple(e + 2 * i for i, e in enumerate(eta))
-    return Symbol(variant=variant, top=top, bottom=bottom)
+    vals, t = _rows(b, variant)
+    return Symbol(variant=variant, top=tuple(vals[:t]), bottom=tuple(vals[t:]))
 
 
-def _pair_min_sum(values: Iterable[int]) -> int:
-    vs = sorted(values)
-    return sum(v * (len(vs) - 1 - i) for i, v in enumerate(vs))
+def _pair_min_sum(values: list[int]) -> int:
+    """Sum of min(x, y) over unordered pairs of positions; sorts values."""
+    values.sort()
+    return sum(map(operator.mul, values, range(len(values) - 1, -1, -1)))
+
+
+@lru_cache(maxsize=None)
+def _base_pair_min(t: int, bb: int, odd: int) -> int:
+    """The pair-min sum of the all-zeros symbol, one per row shape."""
+    return _pair_min_sum(_base(t, bb, odd))
 
 
 def a_m(b: Bipartition, variant: SymbolVariant) -> int:
     """Sum of min(x, y) over unordered pairs of symbol entry positions,
-    normalized by the all-zeros symbol of the same padded shape."""
-    s = symbol(b, variant)
-    base = [2 * i for i in range(len(s.top))]
-    if variant.kind == "half":
-        base += [2 * i + 1 for i in range(len(s.bottom))]
-    else:
-        base += [2 * i for i in range(len(s.bottom))]
-    return _pair_min_sum(s.top + s.bottom) - _pair_min_sum(base)
+    normalized by the all-zeros symbol of the same padded shape.
+
+    Runs on the integer entry list of the symbol, with no Symbol built:
+    the pair-min sum of the sorted entries v_0 <= ... <= v_(N-1) is
+    sum v_k (N - 1 - k), and the all-zeros term depends only on the row
+    lengths and the parity of the bottom base."""
+    vals, t = _rows(b, variant)
+    odd = variant.m.denominator - 1
+    return _pair_min_sum(vals) - _base_pair_min(t, len(vals) - t, odd)
 
 
 def similar(b1: Bipartition, b2: Bipartition, variant: SymbolVariant) -> bool:
@@ -157,11 +179,10 @@ def similar(b1: Bipartition, b2: Bipartition, variant: SymbolVariant) -> bool:
 
 def _decode_member(top: tuple[int, ...], bottom: tuple[int, ...],
                    variant: SymbolVariant) -> Optional[Bipartition]:
-    xi = [v - 2 * i for i, v in enumerate(top)]
-    if variant.kind == "half":
-        eta = [v - (2 * i + 1) for i, v in enumerate(bottom)]
-    else:
-        eta = [v - 2 * i for i, v in enumerate(bottom)]
+    t = len(top)
+    base = _base(t, len(bottom), variant.m.denominator - 1)
+    parts = [v - z for v, z in zip(top + bottom, base)]
+    xi, eta = parts[:t], parts[t:]
     for row in (xi, eta):
         if any(v < 0 for v in row) or any(a > b for a, b in zip(row, row[1:])):
             return None
@@ -190,30 +211,53 @@ class CharacterSet:
         return min(self.members, key=lambda b: (b.first, b.second))
 
 
+def _singleton_runs(counts: Counter) -> list[tuple[int, int]]:
+    """Maximal runs lo..hi of consecutive integers among the entries
+    counted once, in increasing order."""
+    runs: list[list[int]] = []
+    for v in sorted(v for v, c in counts.items() if c == 1):
+        if runs and v == runs[-1][1] + 1:
+            runs[-1][1] = v
+        else:
+            runs.append([v, v])
+    return [(lo, hi) for lo, hi in runs]
+
+
 def similarity_class(b: Bipartition, variant: SymbolVariant) -> CharacterSet:
     """All bipartitions whose symbol has the same entry multiset.
 
-    Rows are strictly increasing, so an entry occurring twice in the
-    multiset sits once in each row; only the s entries occurring once can
-    change rows. The variant pins the top-row length t, so the candidates
-    are the C(s, t - #doubles) ways to pick the top-row singles. A
-    candidate is kept if its rows decode to a bipartition reproducing the
-    multiset, so no scan of all bipartitions of that weight is needed.
+    Rows increase with gaps of at least 2, so an entry occurring twice
+    sits once in each row and leaves its neighbours empty, and two
+    singletons v, v + 1 sit in different rows. Each maximal run of
+    singletons therefore alternates rows, and the only choice is the row
+    it starts in. An even run splits evenly either way; an odd run puts
+    its extra entry in the row it starts in, and the variant's top-row
+    length fixes how many odd runs start on top. That leaves
+    C(#odd runs, extra) * 2^(#even runs) candidates. A candidate is kept
+    if its rows decode to a bipartition reproducing the multiset. Some
+    half-variant candidates do not (a 0 in the bottom row never decodes),
+    so the class size is counted, not read off that product.
     """
-    s = symbol(b, variant)
-    target = s.entry_multiset()
+    vals, t = _rows(b, variant)
+    target = sorted(vals)
     counts = Counter(target)
     doubles = [v for v, c in counts.items() if c == 2]
-    singles = [v for v, c in counts.items() if c == 1]
+    runs = _singleton_runs(counts)
+    odd_runs = [r for r in runs if (r[1] - r[0]) % 2 == 0]
+    even_runs = [r for r in runs if (r[1] - r[0]) % 2 == 1]
+    extra = t - len(doubles) - sum((hi - lo + 1) // 2 for lo, hi in runs)
     members = set()
-    for chosen in itertools.combinations(singles, len(s.top) - len(doubles)):
-        top = tuple(sorted(doubles + list(chosen)))
-        bottom = tuple(sorted(doubles + [v for v in singles if v not in chosen]))
-        cand = _decode_member(top, bottom, variant)
-        if cand is None:
-            continue
-        if symbol(cand, variant).entry_multiset() == target:
-            members.add(cand)
+    for odd_on_top in itertools.combinations(odd_runs, extra):
+        for even_on_top in itertools.product(*(((r,), ()) for r in even_runs)):
+            on_top = set(odd_on_top).union(*even_on_top)
+            top, bottom = list(doubles), list(doubles)
+            for lo, hi in runs:
+                start, other = (top, bottom) if (lo, hi) in on_top else (bottom, top)
+                start.extend(range(lo, hi + 1, 2))
+                other.extend(range(lo + 1, hi + 1, 2))
+            cand = _decode_member(tuple(sorted(top)), tuple(sorted(bottom)), variant)
+            if cand is not None and sorted(_rows(cand, variant)[0]) == target:
+                members.add(cand)
     return CharacterSet(frozenset(members), variant, a_m(b, variant))
 
 
@@ -246,9 +290,9 @@ def pieri_induct(p: int, b: Bipartition) -> list[Bipartition]:
         raise ValueError("p must be >= 1")
     out = []
     for a in range(p + 1):
+        betas = _horizontal_strip_additions(b.second, p - a)
         for alpha in _horizontal_strip_additions(b.first, a):
-            for beta in _horizontal_strip_additions(b.second, p - a):
-                out.append(Bipartition(alpha, beta))
+            out.extend(Bipartition(alpha, beta) for beta in betas)
     return sorted(out, key=lambda c: (c.first, c.second))
 
 
@@ -303,17 +347,10 @@ def intervals(s: Symbol) -> list[tuple[int, int]]:
     """Maximal runs of consecutive integers among entries occurring exactly
     once. For the m = 1/2 variant a run containing 0 is discarded (entries
     are nonnegative, so such a run is one starting at 0)."""
-    counts = Counter(s.top) + Counter(s.bottom)
-    once = sorted(v for v, c in counts.items() if c == 1)
-    runs: list[list[int]] = []
-    for v in once:
-        if runs and v == runs[-1][1] + 1:
-            runs[-1][1] = v
-        else:
-            runs.append([v, v])
+    runs = _singleton_runs(Counter(s.top) + Counter(s.bottom))
     if s.variant.kind == "half" and abs(s.variant.m) == Fraction(1, 2):
         runs = [r for r in runs if r[0] != 0]
-    return [(lo, hi) for lo, hi in runs]
+    return runs
 
 
 def interval_count_check(xi: InductionDatum,

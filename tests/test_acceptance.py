@@ -109,7 +109,7 @@ def counting():
 
 
 def test_criterion_7_counting_identities(counting):
-    assert_passed(counting, 6597, 120.0)
+    assert_passed(counting, 6597, 30.0)
     clean_m = {F(0), F(2), F(5, 2), F(3), F(7, 2), F(4)}
     assert not {key for key in counting.deviations if key[1] in clean_m}
     assert set(counting.deviations) == KNOWN_COUNTING_DEVIATIONS

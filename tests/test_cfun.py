@@ -1,10 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from exponent_counts import FactorProduct, order, pair_factors
 
 from bhecke.cfun import (
-    FactorProduct,
-    order,
     pole_order_A_part,
     pole_order_block,
     pole_order_pair,
@@ -36,6 +35,14 @@ def test_pole_order_pair_diagonal_rule(sign):
         for p2 in range(1, 9):
             expect = 1 if p1 == p2 else 0
             assert pole_order_pair(p1, p2, sign) == expect, (p1, p2, sign)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_pole_order_pair_counts_fraction_exponents(sign):
+    for p1 in range(1, 17):
+        for p2 in range(1, 17):
+            assert pole_order_pair(p1, p2, sign) == order(pair_factors(p1, p2, sign)), \
+                (p1, p2, sign)
 
 
 def test_pole_order_pair_rejects():

@@ -308,10 +308,13 @@ class TestSelftestCommand:
     (["selftest", "--suite", "pairs", "--jobs", "0"], "--jobs"),
     (["selftest", "--suite", "pairs", "--bound-n", "-1", "--bound-l", "-5"], "--bound-n"),
     (["selftest", "--suite", "gluing", "--bound-l", "-1"], "--bound-l"),
+    (["residual", "-l", "41", "-m", "1/2"], "-l"),
+    (["table", "-n", "41", "--m-list", "1"], "-n"),
 ], ids=["rgroup-zero-denominator", "symbols-zero-denominator",
         "residual-negative-weight", "table-rank-zero", "table-jobs-zero",
         "selftest-jobs-zero", "selftest-negative-rank-bound",
-        "selftest-negative-weight-bound"])
+        "selftest-negative-weight-bound", "residual-weight-over-bound",
+        "table-rank-over-bound"])
 def test_bad_input_is_a_usage_error(capsys, argv, field):
     code, out, err = run_cli(argv, capsys)
     assert code == 2

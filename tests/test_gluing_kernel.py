@@ -5,7 +5,8 @@ independent oracles: a scan of every partition of |mu| + p comparing
 m-tableau entry multisets, the pole order counted from exponent lists of
 (1 - q1^a) factors, the block rule in Fractions, and the splitting map run
 on the m-tableau. They share no code with the kernel beyond the partition
-enumerator, the m-tableau, the strip and the exponent-list count `order`.
+enumerator, the m-tableau and the strip; the exponent-list count `order`
+comes from `exponent_counts`.
 """
 
 import time
@@ -15,10 +16,9 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from exponent_counts import FactorProduct, order
 
 from bhecke.cfun import (
-    FactorProduct,
-    order,
     pole_order_A_part,
     pole_order_block,
     pole_order_short_direct,

@@ -2,6 +2,7 @@
 
 import warnings
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from bhecke.partitions import Bipartition, enumerate_partitions
 from bhecke.rgroup import GluingAmbiguityWarning, InductionDatum
+from bhecke import symbols
 from bhecke.splitting import split
 from bhecke.symbols import (
     MINUS_ZERO,
@@ -29,6 +31,58 @@ from bhecke.symbols import (
 )
 
 INT3 = SymbolVariant("int", F(3))
+
+
+def bipartitions(weight):
+    """Every bipartition of the given weight."""
+    return [Bipartition(first, second)
+            for a in range(weight + 1)
+            for first in enumerate_partitions(a)
+            for second in enumerate_partitions(weight - a)]
+
+
+# ------------------------------------------------- Fraction references
+
+def reference_rows(b, variant):
+    """The symbol rows by the Fraction padding rule: top length minus
+    bottom length is m for whole m, and |m| + 1/2 with the sign of m for
+    half m; the parts, padded with zeros, are laid increasing on the base
+    0, 2, 4, ... (bottom 1, 3, 5, ... for half m)."""
+    xi, eta = sorted(b.first), sorted(b.second)
+    m = F(variant.m)
+    if variant.kind == "half":
+        half = abs(m) + F(1, 2)
+        delta = int(half if m > 0 else -half)
+        t = max(len(xi), len(eta) + delta)
+        bb = t - delta
+    else:
+        bb = max(len(eta), len(xi) - int(m))
+        t = bb + int(m)
+    odd = 1 if variant.kind == "half" else 0
+    xi = [0] * (t - len(xi)) + xi
+    eta = [0] * (bb - len(eta)) + eta
+    return ([x + 2 * i for i, x in enumerate(xi)],
+            [e + 2 * i + odd for i, e in enumerate(eta)])
+
+
+def pair_min_sum(values):
+    vs = sorted(values)
+    return sum(v * (len(vs) - 1 - i) for i, v in enumerate(vs))
+
+
+def normalized_pair_min(top, bottom, odd):
+    base = [2 * i for i in range(len(top))] + [2 * i + odd for i in range(len(bottom))]
+    return pair_min_sum(top + bottom) - pair_min_sum(base)
+
+
+def reference_a_m(b, variant):
+    top, bottom = reference_rows(b, variant)
+    return normalized_pair_min(top, bottom, 1 if variant.kind == "half" else 0)
+
+
+# m in {-2, -3/2, -1/2, 0, 1/2, ..., 4}, both zero variants at m = 0
+REFERENCE_VARIANTS = [v for m2 in [-4, -3, -1] + list(range(9))
+                      for v in variants_for_m(F(m2, 2))]
 
 
 def worked_datum():
@@ -110,6 +164,27 @@ class TestAm:
     def test_sign_character_square(self, n):
         assert a_m(Bipartition((), (1,) * n), SymbolVariant("int", 1)) == n * n
 
+    def test_matches_fraction_reference(self):
+        for w in range(10):
+            for b in bipartitions(w):
+                for v in REFERENCE_VARIANTS:
+                    s = symbol(b, v)
+                    assert [list(s.top), list(s.bottom)] == list(reference_rows(b, v)), \
+                        (b, v.label)
+                    assert a_m(b, v) == reference_a_m(b, v), (b, v.label)
+
+    def test_invariant_under_one_more_zero(self):
+        # padding both rows with one more zero shifts every entry by 2 and
+        # puts 0 (1 for half m) in front; the normalization cancels it
+        for w in range(8):
+            for b in bipartitions(w):
+                for v in REFERENCE_VARIANTS:
+                    odd = 1 if v.kind == "half" else 0
+                    s = symbol(b, v)
+                    top = [0] + [x + 2 for x in s.top]
+                    bottom = [odd] + [x + 2 for x in s.bottom]
+                    assert normalized_pair_min(top, bottom, odd) == a_m(b, v), (b, v.label)
+
     def test_constant_across_similarity(self):
         v = INT3
         cls = similarity_class(Bipartition((4, 3, 2), (2,)), v)
@@ -149,17 +224,14 @@ class TestSimilarity:
 
     @pytest.mark.parametrize("m2", [-3, -1] + list(range(9)))
     def test_matches_scan_of_all_bipartitions(self, m2):
-        # reference: group every bipartition of each weight <= 7 by the
+        # reference: group every bipartition of each weight <= 9 by the
         # entry multiset of its symbol
         for variant in variants_for_m(F(m2, 2)):
-            for w in range(8):
+            for w in range(10):
                 by_multiset = {}
-                for a in range(w + 1):
-                    for first in enumerate_partitions(a):
-                        for second in enumerate_partitions(w - a):
-                            b = Bipartition(first, second)
-                            key = symbol(b, variant).entry_multiset()
-                            by_multiset.setdefault(key, set()).add(b)
+                for b in bipartitions(w):
+                    key = symbol(b, variant).entry_multiset()
+                    by_multiset.setdefault(key, set()).add(b)
                 for key, members in by_multiset.items():
                     for b in members:
                         cls = similarity_class(b, variant)
@@ -167,7 +239,53 @@ class TestSimilarity:
                         assert cls.a_value == a_m(b, variant)
 
 
+@lru_cache(maxsize=None)
+def strips_by_interlacing(lam, k):
+    """Partitions alpha of |lam| + k with alpha_1 >= lam_1 >= alpha_2 >=
+    lam_2 >= ...: lam plus a horizontal strip of k boxes."""
+    out = []
+    for alpha in enumerate_partitions(sum(lam) + k):
+        padded = lam + (0,) * (len(alpha) - len(lam))
+        if len(alpha) >= len(lam) and all(
+                x >= y for x, y in zip(alpha, padded)) and all(
+                alpha[i + 1] <= padded[i] for i in range(len(alpha) - 1)):
+            out.append(alpha)
+    return out
+
+
+def reference_pieri(p, b):
+    """The nested loop: every first-row strip of a boxes against every
+    second-row strip of p - a boxes."""
+    out = []
+    for a in range(p + 1):
+        for alpha in strips_by_interlacing(b.first, a):
+            for beta in strips_by_interlacing(b.second, p - a):
+                out.append(Bipartition(alpha, beta))
+    return sorted(out, key=lambda c: (c.first, c.second))
+
+
 class TestPieri:
+    def test_matches_nested_loop_reference(self):
+        for w in range(9):
+            for b in bipartitions(w):
+                for p in range(1, 7):
+                    assert pieri_induct(p, b) == reference_pieri(p, b), (b, p)
+
+    @pytest.mark.parametrize("p", [1, 3, 6])
+    def test_strips_computed_once_per_split(self, monkeypatch, p):
+        # one list of first-row strips and one of second-row strips for
+        # each way a of dividing p
+        calls = []
+        original = symbols._horizontal_strip_additions
+
+        def counted(lam, k):
+            calls.append((lam, k))
+            return original(lam, k)
+
+        monkeypatch.setattr(symbols, "_horizontal_strip_additions", counted)
+        pieri_induct(p, Bipartition((3, 2, 2), (4, 1)))
+        assert len(calls) <= 2 * (p + 1)
+
     def test_rank_one_seed_count(self):
         got = pieri_induct(2, Bipartition((1,), ()))
         pairs = [(b.first, b.second) for b in got]
