@@ -28,7 +28,6 @@ from .splitting import (
     residual_counts,
     residual_partitions,
     split,
-    validate_datum,
 )
 from .cfun import (
     pole_order_A_part,
@@ -49,7 +48,6 @@ from .rgroup import (
     can_glue,
     convert_C_labels,
     d_value,
-    generator,
     glue_strip_geometric,
     induction_data,
     r_group,
@@ -86,12 +84,11 @@ __all__ = [
     "brute_force_W_xi_xi", "can_glue", "cardinality_check",
     "central_character", "component_group_order_m1", "content",
     "convert_C_labels", "d_value", "datum_error", "enumerate_partitions",
-    "generator",
     "glue_strip_geometric", "induction_data", "interval_count_check", "intervals",
     "is_residual_point", "m_tableau", "pieri_induct", "pole_order_A_part",
     "pole_order_block", "pole_order_pair", "pole_order_short_blockwise",
     "pole_order_short_direct", "r_group", "residual_counts",
     "residual_partitions", "restricted_root_system", "similar",
     "similarity_class", "split", "springer_correspondents", "strip",
-    "symbol", "truncated_induct", "validate_datum", "variants_for_m",
+    "symbol", "truncated_induct", "variants_for_m",
 ]

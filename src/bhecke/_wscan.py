@@ -137,17 +137,17 @@ def w_survivor_indices(n: int, kappa: tuple[int, ...], l: int,
 _r_full_cache: dict = {}
 
 
-def r_member_indices(n: int, kappa: tuple[int, ...], l: int,
-                     gamma2: tuple[int, ...],
+def r_member_indices(n: int, kappa: tuple[int, ...], surv: np.ndarray | None,
                      class_blocks: tuple[tuple[tuple[int, int], ...], ...],
                      gluable_flags: tuple[bool, ...]) -> np.ndarray:
     """Indices of stabilizer elements preserving the positive restricted roots.
 
-    class_blocks groups the strip blocks by equal length, each block given as
-    (0-based block index, 0-based first coordinate); gluable_flags marks the
-    classes whose factor carries no single restricted root.
+    surv is the datum's stabilizer as w_survivor_indices returns it: sorted
+    indices, or None for the whole group. class_blocks groups the strip
+    blocks by equal length, each block given as (0-based block index,
+    0-based first coordinate); gluable_flags marks the classes whose factor
+    carries no single restricted root.
     """
-    surv = w_survivor_indices(n, kappa, l, gamma2)
     if surv is None:
         key = (n, kappa, gluable_flags)
         hit = _r_full_cache.get(key)

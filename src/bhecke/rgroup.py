@@ -6,7 +6,8 @@ restricted root system R0(xi) is assembled from the equal-length classes of
 kappa, and the R-group is an elementary abelian 2-group with one generator
 per gluable class. The brute-force path enumerates W(B_n) directly and
 recomputes everything from the definitions; the two must agree on every valid
-datum, and the sweep tests hold them to that.
+datum, and the sweep tests hold them to that. Each InductionDatum derives
+its split, gluable classes and stabilizer once, and every caller reads them.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .cfun import pole_order_short_blockwise
@@ -47,7 +49,6 @@ __all__ = [
     "can_glue",
     "convert_C_labels",
     "d_value",
-    "generator",
     "glue_strip_geometric",
     "induction_data",
     "r_group",
@@ -68,6 +69,8 @@ class InductionDatum:
     kappa lists the strip lengths of the A-part (stored decreasing), mu is
     the residual partition carrying the discrete series of the B-factor, and
     sum(kappa) + sum(mu) = n. Invalid data are rejected on construction.
+    The split, gluable classes and stabilizer are derived once per datum,
+    on first read; the cache is not a field, so == and hash ignore it.
     """
 
     n: int
@@ -108,6 +111,26 @@ class InductionDatum:
                                              key=lambda p: self.kappa[p]):
             out.append((length, tuple(grp)))
         return tuple(out)
+
+    @cached_property
+    def split_result(self) -> SplitResult:
+        """The split of mu at m."""
+        return _residual_split(self.mu, self.m)
+
+    @cached_property
+    def gluable_classes(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(length, block indices) of each length class whose strip glues
+        onto mu, in decreasing length order."""
+        return tuple((length, ps) for length, ps in self.length_classes()
+                     if _glues(length, self.split_result, self.m))
+
+    @cached_property
+    def _stabilizer_indices(self):
+        """Sorted group ranks of the W(B_n) stabilizer of the parabolic
+        simple roots and the central character; None for the whole group."""
+        from . import _wscan
+        return _wscan.w_survivor_indices(self.n, self.kappa, self.l,
+                                         _gamma2(self))
 
 
 def induction_data(n: int, ms: Iterable[Fraction]) -> list[tuple]:
@@ -236,13 +259,12 @@ def restricted_root_system(xi: InductionDatum) -> RestrictedRootSystem:
     """Roots E_p +- E_q within each equal-length class, plus E_p on every
     block of a class whose strip length does not glue onto mu."""
     r = xi.r
-    sr = _residual_split(xi.mu, xi.m)
+    gluable = {length for length, _ in xi.gluable_classes}
     roots = []
     factors = []
     for length, ps in xi.length_classes():
-        gluable = _glues(length, sr, xi.m)
         k = len(ps)
-        if not gluable:
+        if length not in gluable:
             factors.append(("B", k))
             for p in ps:
                 roots.append(_vec(r, {p: 1}))
@@ -259,16 +281,9 @@ def restricted_root_system(xi: InductionDatum) -> RestrictedRootSystem:
                                 factors=tuple(factors))
 
 
-def _gluable_classes(xi: InductionDatum) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(length, block indices) of each gluable length class; mu is split once."""
-    sr = _residual_split(xi.mu, xi.m)
-    return tuple((length, ps) for length, ps in xi.length_classes()
-                 if _glues(length, sr, xi.m))
-
-
 def d_value(xi: InductionDatum) -> int:
     """Number of gluable length classes; the R-group has order 2**d_value."""
-    return len(_gluable_classes(xi))
+    return len(xi.gluable_classes)
 
 
 @dataclass(frozen=True)
@@ -314,13 +329,6 @@ class SignedPermutation:
         for i, v in enumerate(self.images):
             out[abs(v) - 1] = point[i] if v > 0 else -point[i]
         return tuple(out)
-
-
-def generator(xi: InductionDatum, class_index: int) -> SignedPermutation:
-    """R-group generator for the class_index-th gluable class (decreasing
-    length order): the sign-reversing flip of the last block of that class."""
-    length, ps = _gluable_classes(xi)[class_index]
-    return _flip(xi, length, ps)
 
 
 def _flip(xi: InductionDatum, length: int, ps: tuple[int, ...]) -> SignedPermutation:
@@ -378,7 +386,7 @@ def r_group(xi: InductionDatum) -> RGroupResult:
     """R-group data of the induction datum: one commuting involution per
     gluable length class, 2**d components, and a glued partition labelling
     each component."""
-    classes = _gluable_classes(xi)
+    classes = xi.gluable_classes
     d = len(classes)
     lengths = tuple(length for length, _ in classes)
     gens = tuple(_flip(xi, length, ps) for length, ps in classes)
@@ -493,9 +501,7 @@ def brute_force_W_xi_xi(xi: InductionDatum) -> WeylSubset:
     fixing the projection of the central character onto their span. Direct
     enumeration; bounded by HECKE_RGROUP_BOUND_N (default 8)."""
     _check_bound(xi.n)
-    from . import _wscan
-    indices = _wscan.w_survivor_indices(xi.n, xi.kappa, xi.l, _gamma2(xi))
-    return WeylSubset(xi.n, indices)
+    return WeylSubset(xi.n, xi._stabilizer_indices)
 
 
 def brute_force_R(xi: InductionDatum) -> list[SignedPermutation]:
@@ -507,8 +513,8 @@ def brute_force_R(xi: InductionDatum) -> list[SignedPermutation]:
     offsets = xi.offsets
     class_blocks = tuple(tuple((p, offsets[p]) for p in ps)
                          for _, ps in classes)
-    sr = _residual_split(xi.mu, xi.m)
-    gluable_flags = tuple(_glues(length, sr, xi.m) for length, _ in classes)
-    indices = _wscan.r_member_indices(xi.n, xi.kappa, xi.l, _gamma2(xi),
+    gluable = {length for length, _ in xi.gluable_classes}
+    gluable_flags = tuple(length in gluable for length, _ in classes)
+    indices = _wscan.r_member_indices(xi.n, xi.kappa, xi._stabilizer_indices,
                                       class_blocks, gluable_flags)
     return [SignedPermutation(_wscan.unrank(xi.n, int(k))) for k in indices]

@@ -4,9 +4,9 @@ Each suite checks one family of identities against an independent
 computation path and reports a count, a timing, and a minimal reproducer
 command line for any failure. Each suite is also the only implementation
 of its release criterion: the acceptance tests run it at RELEASE_BOUNDS.
-A full run takes about 4 s at the default bounds and 17 s at the release
+A full run takes about 4 s at the default bounds and 16 s at the release
 bounds on a 2-CPU Linux VM. At the release bounds most of it goes to the
-rgroup suite (about 12 s); the counting and gluing suites take about 2 s
+rgroup suite (about 11 s); the counting and gluing suites take about 2 s
 each.
 """
 
@@ -310,7 +310,7 @@ def _counting_chunk(args) -> tuple[int, list[str], list[tuple]]:
     full = springer_correspondents(xi)
     conds = [cardinality_check(xi, full), interval_count_check(xi, full)]
     if m == 1:
-        part = similarity_class(split(mu, m).bipartition, full.variant)
+        part = similarity_class(xi.split_result.bipartition, full.variant)
         full_symbol = symbol(full.representative(), full.variant)
         part_symbol = symbol(part.representative(), full.variant)
         if intervals(full_symbol) and intervals(part_symbol):

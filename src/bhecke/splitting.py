@@ -36,7 +36,6 @@ __all__ = [
     "is_residual_point",
     "residual_partitions",
     "split",
-    "validate_datum",
 ]
 
 
@@ -240,8 +239,3 @@ def datum_error(n: int, m: Fraction, kappa: Partition, mu: Partition) -> Optiona
     if mu and not is_residual_point(mu, mm):
         return f"mu={tuple(mu)} is not residual at m={fmt_ratio(mm)}"
     return None
-
-
-def validate_datum(n: int, m: Fraction, kappa: Partition, mu: Partition) -> bool:
-    """True iff (n, m, kappa, mu) describes a valid induction datum."""
-    return datum_error(n, m, kappa, mu) is None

@@ -20,7 +20,6 @@ from typing import Iterable, Optional
 
 from .partitions import Bipartition, Partition, fmt_ratio
 from .rgroup import InductionDatum, d_value
-from .splitting import split
 
 __all__ = [
     "CharacterSet",
@@ -330,8 +329,7 @@ def springer_correspondents(xi: InductionDatum) -> CharacterSet:
     """
     results = []
     for variant in variants_for_m(xi.m):
-        sr = split(xi.mu, xi.m)
-        seed = similarity_class(sr.bipartition, variant)
+        seed = similarity_class(xi.split_result.bipartition, variant)
         if xi.kappa:
             results.append(truncated_induct(xi.kappa, seed, variant))
         else:
@@ -363,7 +361,7 @@ def interval_count_check(xi: InductionDatum,
     if full is None:
         full = springer_correspondents(xi)
     i_full = len(intervals(symbol(full.representative(), full.variant)))
-    part = split(xi.mu, xi.m).bipartition
+    part = xi.split_result.bipartition
     i_part = len(intervals(symbol(part, full.variant)))
     return i_full == i_part + d_value(xi)
 
@@ -383,6 +381,6 @@ def cardinality_check(xi: InductionDatum,
     springer_correspondents class, computed here when not given."""
     if full is None:
         full = springer_correspondents(xi)
-    part = split(xi.mu, xi.m).bipartition
+    part = xi.split_result.bipartition
     part_size = len(similarity_class(part, full.variant).members)
     return len(full.members) == (1 << d_value(xi)) * part_size

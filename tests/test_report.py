@@ -1,19 +1,23 @@
-"""build_report: many-strip data and one Springer class per datum."""
+"""build_report: many-strip data, and each per-datum value derived once."""
 
+import sys
 import time
 import warnings
 from fractions import Fraction as F
 
 import pytest
 
-from bhecke import report, symbols
-from bhecke.rgroup import GluingAmbiguityWarning, InductionDatum
+from bhecke import _wscan, report, splitting, symbols
+from bhecke.rgroup import GluingAmbiguityWarning, InductionDatum, brute_force_W_xi_xi
+
+WORKED = (36, 3, (11, 7, 4, 3), (4, 3, 2, 1, 1))
+ORACLE = (6, F(1, 2), (2,), (1, 1, 1, 1))
 
 
 def worked_datum():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GluingAmbiguityWarning)
-        return InductionDatum(36, 3, (11, 7, 4, 3), (4, 3, 2, 1, 1))
+        return InductionDatum(*WORKED)
 
 
 # Thirteen strips at m = 3/2. The symbols have 28 and 26 entries, so a scan
@@ -35,21 +39,56 @@ def test_many_strip_report(xi):
     assert rep["d"] == 1
 
 
+def count_calls(monkeypatch, home, name) -> list:
+    """Record the arguments of every call to home.name made through any
+    bhecke module binding of it."""
+    original = getattr(home, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "bhecke" or mod_name.startswith("bhecke."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def quiet_report(xi, oracle=False):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GluingAmbiguityWarning)
+        return report.build_report(xi, oracle=oracle)
+
+
 @pytest.mark.parametrize("xi", [worked_datum(), MANY_STRIP[1],
                                 InductionDatum(4, 0, (2,), (1, 1))])
 def test_one_springer_class_per_report(xi, monkeypatch):
-    # count calls through the report binding and through the symbols module,
-    # where the consistency checks would look the class up
-    calls = []
-    inner = symbols.springer_correspondents
+    calls = count_calls(monkeypatch, symbols, "springer_correspondents")
+    quiet_report(xi)
+    assert calls == [(xi,)]
 
-    def counted(datum):
-        calls.append(datum)
-        return inner(datum)
 
-    monkeypatch.setattr(report, "springer_correspondents", counted)
-    monkeypatch.setattr(symbols, "springer_correspondents", counted)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GluingAmbiguityWarning)
-        report.build_report(xi)
-    assert calls == [xi]
+@pytest.mark.parametrize("fields, oracle", [(WORKED, False), (ORACLE, False),
+                                            (ORACLE, True)])
+def test_one_split_per_report(fields, oracle, monkeypatch):
+    xi = InductionDatum(*fields)
+    calls = count_calls(monkeypatch, splitting, "split")
+    quiet_report(xi, oracle)
+    assert calls == [(xi.mu, xi.m)]
+
+
+def test_one_stabilizer_scan_per_oracle_report(monkeypatch):
+    calls = count_calls(monkeypatch, _wscan, "w_survivor_indices")
+    quiet_report(InductionDatum(*ORACLE), oracle=True)
+    assert len(calls) == 1
+
+
+def test_derived_values_leave_the_datum_unchanged():
+    xi = InductionDatum(*ORACLE)
+    before = hash(xi)
+    xi.split_result, xi.gluable_classes, brute_force_W_xi_xi(xi)
+    assert xi == InductionDatum(*ORACLE)
+    assert hash(xi) == before == hash(InductionDatum(*ORACLE))

@@ -8,11 +8,11 @@ from bhecke.partitions import boxes, content, enumerate_partitions, strip
 from bhecke.splitting import (
     Orientation,
     central_character,
+    datum_error,
     is_residual_point,
     residual_counts,
     residual_partitions,
     split,
-    validate_datum,
 )
 
 H = Orientation.HORIZONTAL
@@ -190,10 +190,10 @@ def test_central_character_rejects_nonresidual():
 
 
 def test_validate_datum():
-    assert validate_datum(36, Fraction(3), (11, 7, 4, 3), (4, 3, 2, 1, 1))
-    assert validate_datum(3, Fraction(1), (2,), (1,))
-    assert validate_datum(2, Fraction(1), (2,), ())
-    assert not validate_datum(5, Fraction(1), (3,), (1, 1))
-    assert not validate_datum(4, Fraction(1), (2,), (1,))
-    assert not validate_datum(3, Fraction(-1), (2,), (1,))
-    assert not validate_datum(3, Fraction(1), (1, 2), (1,))
+    assert datum_error(36, Fraction(3), (11, 7, 4, 3), (4, 3, 2, 1, 1)) is None
+    assert datum_error(3, Fraction(1), (2,), (1,)) is None
+    assert datum_error(2, Fraction(1), (2,), ()) is None
+    assert datum_error(5, Fraction(1), (3,), (1, 1)) is not None
+    assert datum_error(4, Fraction(1), (2,), (1,)) is not None
+    assert datum_error(3, Fraction(-1), (2,), (1,)) is not None
+    assert datum_error(3, Fraction(1), (1, 2), (1,)) is not None
