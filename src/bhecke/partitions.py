@@ -102,22 +102,19 @@ class AStrip:
     """Row of p boxes with entries -(p-1)/2, ..., (p-1)/2 in steps of 1.
 
     The signed entries are the exponents of the length-p factor of a central
-    character; abs_entries is their absolute-value multiset, the entries a
-    gluing adds to a tableau.
+    character; their absolute values are the entries a gluing adds to a
+    tableau.
     """
 
     length: int
     signed_entries: tuple[Fraction, ...]
-    abs_entries: tuple[Fraction, ...]
 
 
 def strip(p: int) -> AStrip:
     if p < 1:
         raise ValueError("strip length must be >= 1")
     z = Fraction(p - 1, 2)
-    signed = tuple(-z + k for k in range(p))
-    return AStrip(length=p, signed_entries=signed,
-                  abs_entries=tuple(sorted(abs(e) for e in signed)))
+    return AStrip(length=p, signed_entries=tuple(-z + k for k in range(p)))
 
 
 def addable_boxes(lam: Partition) -> list[BoxCoord]:

@@ -76,6 +76,11 @@ def build_report(xi: InductionDatum, oracle: bool = False) -> dict:
 
     With oracle=True the brute-force Weyl-group scans run as well (subject
     to the usual bound on n) and their agreement is recorded in checks.
+
+    At m = 0 the symbol class carries variantsChecked ["+0", "-0"]: the two
+    zero labels share one row layout, so the class is computed once, under
+    +0, and stands for both. The tests pin that the -0 rows and the -0
+    induction are the same.
     """
     checks: dict[str, bool] = {}
     notes: list[str] = []

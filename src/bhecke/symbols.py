@@ -45,9 +45,10 @@ __all__ = [
 @dataclass(frozen=True)
 class SymbolVariant:
     """Symbol family selector: integer m, one of the two zero forms, or
-    half-integer m. The zero forms build numerically identical rows and
-    differ only as labels (the classical layout interleaves them
-    differently), so consumers compute both and check they agree."""
+    half-integer m. Row building reads only m, so the zero forms +0 and -0
+    build identical rows and differ only in their label (the classical
+    display interleaves them differently). Computations at m = 0 run once,
+    under +0."""
 
     kind: str
     m: Fraction
@@ -295,16 +296,15 @@ def pieri_induct(p: int, b: Bipartition) -> list[Bipartition]:
     return sorted(out, key=lambda c: (c.first, c.second))
 
 
-def truncated_induct(parts: Iterable[int], seed: CharacterSet,
-                     variant: SymbolVariant) -> CharacterSet:
-    """Fold the strip lengths over the seed: induce each member with the
-    Pieri rule, keep the a_m-maximal constituents, and close the final set
-    under similarity. Parts are processed in decreasing order; transitivity
-    makes the result independent of that choice."""
-    if variant != seed.variant:
-        raise ValueError("variant mismatch with seed")
+def truncated_induct(parts: Iterable[int], seed: CharacterSet) -> CharacterSet:
+    """Fold the strip lengths over the seed class under the seed's variant:
+    induce each member with the Pieri rule, keep the a_m-maximal
+    constituents, and close the final set under similarity. Parts are
+    processed in decreasing order; transitivity makes the result
+    independent of that choice."""
     if not seed.members:
         raise ValueError("seed must be nonempty")
+    variant = seed.variant
     current = set(seed.members)
     for p in sorted(parts, reverse=True):
         candidates = set()
@@ -322,23 +322,11 @@ def truncated_induct(parts: Iterable[int], seed: CharacterSet,
 
 
 def springer_correspondents(xi: InductionDatum) -> CharacterSet:
-    """Truncated induction of the residual-point class of mu along kappa.
-
-    At m = 0 the computation runs under both zero variants and the two
-    results must coincide; the one labelled +0 is returned.
-    """
-    results = []
-    for variant in variants_for_m(xi.m):
-        seed = similarity_class(xi.split_result.bipartition, variant)
-        if xi.kappa:
-            results.append(truncated_induct(xi.kappa, seed, variant))
-        else:
-            results.append(seed)
-    if len(results) == 2 and results[0].members != results[1].members:
-        raise AssertionError(
-            f"zero-variant disagreement for {xi}: "
-            f"{results[0].members} vs {results[1].members}")
-    return results[0]
+    """Truncated induction of the similarity class of the split of mu along
+    kappa, under the first variant of xi.m (+0 at m = 0; the -0 rows are
+    the same, and the tests compare the two inductions)."""
+    seed = similarity_class(xi.split_result.bipartition, variants_for_m(xi.m)[0])
+    return truncated_induct(xi.kappa, seed) if xi.kappa else seed
 
 
 def intervals(s: Symbol) -> list[tuple[int, int]]:
@@ -351,15 +339,12 @@ def intervals(s: Symbol) -> list[tuple[int, int]]:
     return runs
 
 
-def interval_count_check(xi: InductionDatum,
-                         full: Optional[CharacterSet] = None) -> bool:
+def interval_count_check(xi: InductionDatum, full: CharacterSet) -> bool:
     """Interval count of the induced class equals that of the mu-part class
     plus the number of gluable strip-length classes. full is the datum's
-    springer_correspondents class, computed here when not given."""
+    springer_correspondents class."""
     if Fraction(xi.m).denominator > 2:
         raise ValueError("interval counting requires integer or half-integer m")
-    if full is None:
-        full = springer_correspondents(xi)
     i_full = len(intervals(symbol(full.representative(), full.variant)))
     part = xi.split_result.bipartition
     i_part = len(intervals(symbol(part, full.variant)))
@@ -375,12 +360,9 @@ def component_group_order_m1(s: Symbol) -> int:
     return 1 << max(count - 1, 0)
 
 
-def cardinality_check(xi: InductionDatum,
-                      full: Optional[CharacterSet] = None) -> bool:
+def cardinality_check(xi: InductionDatum, full: CharacterSet) -> bool:
     """|induced class| = 2^d * |mu-part class|. full is the datum's
-    springer_correspondents class, computed here when not given."""
-    if full is None:
-        full = springer_correspondents(xi)
+    springer_correspondents class."""
     part = xi.split_result.bipartition
     part_size = len(similarity_class(part, full.variant).members)
     return len(full.members) == (1 << d_value(xi)) * part_size

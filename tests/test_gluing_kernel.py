@@ -63,7 +63,8 @@ def _by_entry_multiset(total, m):
 def glue_by_partition_scan(mu, p, m):
     """Partitions of |mu| + p containing mu whose entry multiset is mu's
     plus the strip's absolute entries."""
-    target = _multiset(_tableau_entries(mu, m) + strip(p).abs_entries)
+    strip_entries = tuple(abs(e) for e in strip(p).signed_entries)
+    target = _multiset(_tableau_entries(mu, m) + strip_entries)
     return [cand for cand in _by_entry_multiset(sum(mu) + p, m).get(target, [])
             if len(cand) >= len(mu) and all(c >= u for c, u in zip(cand, mu))]
 

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bhecke import _wscan, report, splitting, symbols
+from bhecke import _wscan, report, selftest, splitting, symbols
 from bhecke.rgroup import GluingAmbiguityWarning, InductionDatum, brute_force_W_xi_xi
 
 WORKED = (36, 3, (11, 7, 4, 3), (4, 3, 2, 1, 1))
@@ -69,6 +69,22 @@ def test_one_springer_class_per_report(xi, monkeypatch):
     calls = count_calls(monkeypatch, symbols, "springer_correspondents")
     quiet_report(xi)
     assert calls == [(xi,)]
+
+
+def test_one_truncated_induction_per_zero_report(monkeypatch):
+    xi = InductionDatum(4, 0, (2,), (1, 1))
+    calls = count_calls(monkeypatch, symbols, "truncated_induct")
+    rep = quiet_report(xi)
+    assert len(calls) == 1
+    assert calls[0][1].variant == symbols.PLUS_ZERO
+    assert rep["springerClass"]["variantsChecked"] == ["+0", "-0"]
+
+
+def test_one_springer_class_per_example_suite(monkeypatch):
+    calls = count_calls(monkeypatch, symbols, "springer_correspondents")
+    res = selftest.run_suite("example")
+    assert res.ok() and res.checked == 13
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("fields, oracle", [(WORKED, False), (ORACLE, False),

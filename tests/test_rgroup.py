@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhecke.cfun import pole_order_short_direct
-from bhecke.partitions import enumerate_partitions
 from bhecke.rgroup import (
     GluingAmbiguityWarning,
     InductionDatum,
@@ -310,27 +309,24 @@ class TestBruteForce:
         # 2^d, contains the constructed generators, and the stabilizer has
         # order |W0(xi)| * 2^d
         import warnings as _w
-        for n in range(1, 6):
-            for m2 in range(0, 7):
-                m = F(m2, 2)
-                for k in range(0, n + 1):
-                    mus = residual_partitions(n - k, m)
-                    for kappa in enumerate_partitions(k):
-                        for mu in mus:
-                            xi = InductionDatum(n, m, kappa, mu)
-                            d = d_value(xi)
-                            R = brute_force_R(xi)
-                            assert len(R) == 1 << d, (xi, len(R), d)
-                            ident = SignedPermutation.identity(n)
-                            assert all(a * a == ident for a in R)
-                            with _w.catch_warnings():
-                                _w.simplefilter("ignore", GluingAmbiguityWarning)
-                                rg = r_group(xi)
-                            for g in rg.generators:
-                                assert any(g == c for c in R), (xi, g)
-                            W = brute_force_W_xi_xi(xi)
-                            w0 = restricted_root_system(xi).weyl_order
-                            assert len(W) == w0 * (1 << d), (xi, len(W))
+        data = [case for n in range(1, 6)
+                for case in induction_data(n, [F(k, 2) for k in range(7)])]
+        assert len(data) == 428
+        for case in data:
+            xi = InductionDatum(*case)
+            d = d_value(xi)
+            R = brute_force_R(xi)
+            assert len(R) == 1 << d, (xi, len(R), d)
+            ident = SignedPermutation.identity(xi.n)
+            assert all(a * a == ident for a in R)
+            with _w.catch_warnings():
+                _w.simplefilter("ignore", GluingAmbiguityWarning)
+                rg = r_group(xi)
+            for g in rg.generators:
+                assert any(g == c for c in R), (xi, g)
+            W = brute_force_W_xi_xi(xi)
+            w0 = restricted_root_system(xi).weyl_order
+            assert len(W) == w0 * (1 << d), (xi, len(W))
 
 
 class TestInductionDatum:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhecke.partitions import Bipartition, enumerate_partitions
-from bhecke.rgroup import GluingAmbiguityWarning, InductionDatum
+from bhecke.rgroup import GluingAmbiguityWarning, InductionDatum, induction_data
 from bhecke import symbols
 from bhecke.splitting import split
 from bhecke.symbols import (
@@ -132,6 +132,12 @@ class TestSymbolGoldens:
     def test_minus_zero_identical_rows(self):
         s = symbol(self.BP, MINUS_ZERO)
         assert (s.top, s.bottom) == ((1, 4), (0, 5))
+        # the zero forms share one row layout on every bipartition, which is
+        # why the symbol layer computes only under +0
+        for weight in range(10):
+            for b in bipartitions(weight):
+                plus, minus = symbol(b, PLUS_ZERO), symbol(b, MINUS_ZERO)
+                assert (plus.top, plus.bottom) == (minus.top, minus.bottom)
 
     def test_int_minus_two(self):
         s = symbol(self.BP, SymbolVariant("int", -2))
@@ -358,14 +364,9 @@ class TestTruncatedInduction:
 
     def test_order_independence(self):
         seed = similarity_class(Bipartition((2,), ()), SymbolVariant("int", 1))
-        one = truncated_induct((3, 1), seed, SymbolVariant("int", 1))
-        two = truncated_induct((1, 3), seed, SymbolVariant("int", 1))
+        one = truncated_induct((3, 1), seed)
+        two = truncated_induct((1, 3), seed)
         assert one.members == two.members
-
-    def test_variant_mismatch(self):
-        seed = similarity_class(Bipartition((2,), ()), SymbolVariant("int", 1))
-        with pytest.raises(ValueError):
-            truncated_induct((2,), seed, SymbolVariant("int", 2))
 
     def test_empty_kappa_returns_seed_class(self):
         xi = InductionDatum(11, 3, (), (4, 3, 2, 1, 1))
@@ -374,10 +375,17 @@ class TestTruncatedInduction:
         assert cls.a_value == 13
 
     def test_zero_variants_agree(self):
-        xi = InductionDatum(4, 0, (2,), (1, 1))
-        cls = springer_correspondents(xi)
-        assert cls.variant == PLUS_ZERO
-        assert all(b.weight == 4 for b in cls.members)
+        # springer_correspondents induces under +0 only; the -0 induction
+        # must give the same class on every m = 0 datum to rank 8
+        data = [case for n in range(1, 9) for case in induction_data(n, [F(0)])]
+        assert len(data) == 290
+        for case in data:
+            xi = InductionDatum(*case)
+            cls = springer_correspondents(xi)
+            assert cls.variant == PLUS_ZERO
+            seed = similarity_class(xi.split_result.bipartition, MINUS_ZERO)
+            minus = truncated_induct(xi.kappa, seed) if xi.kappa else seed
+            assert (minus.members, minus.a_value) == (cls.members, cls.a_value)
 
 
 class TestIntervals:
@@ -418,18 +426,22 @@ class TestIntervals:
 
 class TestCounting:
     def test_worked_example_interval_relation(self):
-        assert interval_count_check(worked_datum())
+        xi = worked_datum()
+        assert interval_count_check(xi, springer_correspondents(xi))
 
     def test_worked_example_cardinality(self):
-        assert cardinality_check(worked_datum())
+        xi = worked_datum()
+        assert cardinality_check(xi, springer_correspondents(xi))
 
     def test_discrete_series_interval_relation(self):
-        assert interval_count_check(InductionDatum(11, 3, (), (4, 3, 2, 1, 1)))
+        xi = InductionDatum(11, 3, (), (4, 3, 2, 1, 1))
+        assert interval_count_check(xi, springer_correspondents(xi))
 
     def test_no_gluable_strip(self):
         xi = InductionDatum(14, 3, (3,), (4, 3, 2, 1, 1))
-        assert interval_count_check(xi)
-        assert cardinality_check(xi)
+        full = springer_correspondents(xi)
+        assert interval_count_check(xi, full)
+        assert cardinality_check(xi, full)
 
     @pytest.mark.parametrize("xi,holds", [
         (worked_datum(), True),
@@ -437,14 +449,15 @@ class TestCounting:
     ])
     def test_checks_take_the_class(self, xi, holds):
         full = springer_correspondents(xi)
-        assert cardinality_check(xi, full) == cardinality_check(xi) == holds
-        assert interval_count_check(xi, full) == interval_count_check(xi) == holds
+        assert cardinality_check(xi, full) == holds
+        assert interval_count_check(xi, full) == holds
 
     def test_interval_check_rejects_third_integers(self):
         xi = worked_datum()
+        full = springer_correspondents(xi)
         object.__setattr__(xi, "m", F(1, 3))
         with pytest.raises(ValueError):
-            interval_count_check(xi)
+            interval_count_check(xi, full)
 
 
 class TestComponentGroup:
