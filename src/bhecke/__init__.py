@@ -37,7 +37,6 @@ from .cfun import (
     pole_order_short_direct,
 )
 from .rgroup import (
-    GluingAmbiguityWarning,
     InductionDatum,
     RGroupResult,
     RestrictedRootSystem,
@@ -77,8 +76,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AStrip", "Bipartition", "Block", "BoxCoord", "CharacterSet",
-    "GluingAmbiguityWarning", "InductionDatum", "MTableau",
-    "MINUS_ZERO", "Orientation", "PLUS_ZERO", "Partition", "RGroupResult",
+    "InductionDatum", "MTableau", "MINUS_ZERO", "Orientation", "PLUS_ZERO",
+    "Partition", "RGroupResult",
     "RestrictedRootSystem", "SignedPermutation", "SplitResult", "Symbol",
     "SymbolVariant", "WeylSubset", "a_m", "brute_force_R",
     "brute_force_W_xi_xi", "can_glue", "cardinality_check",

@@ -11,7 +11,6 @@ consistency checks.
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -77,6 +76,9 @@ def build_report(xi: InductionDatum, oracle: bool = False) -> dict:
     With oracle=True the brute-force Weyl-group scans run as well (subject
     to the usual bound on n) and their agreement is recorded in checks.
 
+    notes holds one line per distinct tie in rg.ambiguous_gluings, sorted,
+    then a line when the symbols are undefined at m.
+
     At m = 0 the symbol class carries variantsChecked ["+0", "-0"]: the two
     zero labels share one row layout, so the class is computed once, under
     +0, and stands for both. The tests pin that the -0 rows and the -0
@@ -113,14 +115,12 @@ def build_report(xi: InductionDatum, oracle: bool = False) -> dict:
     checks["blockwiseMatchesDirect"] = blockwise_ok
 
     rs = restricted_root_system(xi)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rg = r_group(xi)
-        if xi.m.denominator <= 2:
-            cls = springer_correspondents(xi)
-        else:
-            cls = None
-    notes.extend(sorted({str(w.message) for w in caught}))
+    rg = r_group(xi)
+    notes.extend(sorted({
+        f"gluing a {p}-strip onto {onto} admits {len(exts)} partitions "
+        f"{list(exts)}; using {exts[-1]}"
+        for p, onto, exts in rg.ambiguous_gluings}))
+    cls = springer_correspondents(xi) if xi.m.denominator <= 2 else None
 
     if cls is not None:
         rep = cls.representative()

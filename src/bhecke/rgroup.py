@@ -8,13 +8,16 @@ per gluable class. The brute-force path enumerates W(B_n) directly and
 recomputes everything from the definitions; the two must agree on every valid
 datum, and the sweep tests hold them to that. Each InductionDatum derives
 its split, gluable classes and stabilizer once, and every caller reads them.
+
+A component label glues one strip per length onto mu. Where a strip fits
+onto several partitions the least one is taken, and r_group records every
+such tie on its result as data.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +41,6 @@ from .splitting import (
 
 __all__ = [
     "DEFAULT_BRUTE_BOUND",
-    "GluingAmbiguityWarning",
     "InductionDatum",
     "RGroupResult",
     "RestrictedRootSystem",
@@ -56,10 +58,6 @@ __all__ = [
 ]
 
 DEFAULT_BRUTE_BOUND = 8
-
-
-class GluingAmbiguityWarning(UserWarning):
-    """Several partitions realize the same glued strip; the least was chosen."""
 
 
 @dataclass(frozen=True)
@@ -346,14 +344,24 @@ class RGroupResult:
 
     component_labels pairs each subset J of gluable lengths with the partition
     obtained by gluing one strip per length in J onto mu (None when no gluing
-    exists, which the consistency checks flag).
+    exists, which the consistency checks flag). ambiguous_gluings lists, as
+    (p, onto, candidates), each gluing of a p-strip onto a partition that
+    admitted several partitions; candidates descend and the least, the last
+    one, is the label taken.
     """
 
-    d: int
     gluable_lengths: tuple[int, ...]
     generators: tuple[SignedPermutation, ...]
-    component_count: int
     component_labels: tuple[tuple[tuple[int, ...], Optional[Partition]], ...]
+    ambiguous_gluings: tuple[tuple[int, Partition, tuple[Partition, ...]], ...]
+
+    @property
+    def d(self) -> int:
+        return len(self.gluable_lengths)
+
+    @property
+    def component_count(self) -> int:
+        return 1 << self.d
 
     def elements(self, n: int) -> set[tuple[int, ...]]:
         """Images of the 2**d products of distinct generators in W(B_n),
@@ -364,39 +372,30 @@ class RGroupResult:
         return {w.images for w in span}
 
 
-def _glue_label(mu: Partition, lengths: tuple[int, ...], m: Fraction) -> Optional[Partition]:
-    current = mu
-    for p in lengths:
-        exts = glue_strip_geometric(current, p, m)
-        if not exts:
-            return None
-        if len(exts) > 1:
-            least = min(exts)
-            warnings.warn(
-                f"gluing a {p}-strip onto {current} admits {len(exts)} "
-                f"partitions {exts}; using {least}",
-                GluingAmbiguityWarning, stacklevel=3)
-            current = least
-        else:
-            current = exts[0]
-    return current
-
-
 def r_group(xi: InductionDatum) -> RGroupResult:
     """R-group data of the induction datum: one commuting involution per
     gluable length class, 2**d components, and a glued partition labelling
-    each component."""
+    each component.
+
+    The label of J glues J's last length onto the label of J[:-1], taking
+    the least partition where several fit; each such tie is recorded in
+    ambiguous_gluings.
+    """
     classes = xi.gluable_classes
-    d = len(classes)
     lengths = tuple(length for length, _ in classes)
     gens = tuple(_flip(xi, length, ps) for length, ps in classes)
-    labels = []
-    for size in range(d + 1):
+    labels: dict[tuple[int, ...], Optional[Partition]] = {(): xi.mu}
+    ambiguous = []
+    for size in range(1, len(lengths) + 1):
         for J in itertools.combinations(lengths, size):
-            labels.append((J, _glue_label(xi.mu, J, xi.m)))
-    return RGroupResult(d=d, gluable_lengths=lengths, generators=gens,
-                        component_count=1 << d,
-                        component_labels=tuple(labels))
+            onto = labels[J[:-1]]
+            exts = [] if onto is None else glue_strip_geometric(onto, J[-1], xi.m)
+            if len(exts) > 1:
+                ambiguous.append((J[-1], onto, tuple(exts)))
+            labels[J] = exts[-1] if exts else None
+    return RGroupResult(gluable_lengths=lengths, generators=gens,
+                        component_labels=tuple(labels.items()),
+                        ambiguous_gluings=tuple(ambiguous))
 
 
 def convert_C_labels(k1c: Fraction, k2c: Fraction) -> tuple[Fraction, Fraction]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,9 +26,7 @@ from .cfun import (
 )
 from .partitions import Bipartition, enumerate_partitions, fmt_ratio
 from .rgroup import (
-    GluingAmbiguityWarning,
     InductionDatum,
-    RGroupResult,
     brute_force_R,
     brute_force_W_xi_xi,
     can_glue,
@@ -146,18 +143,20 @@ def _half_integers(lo: int, hi: int) -> list[Fraction]:
     return [Fraction(k, 2) for k in range(2 * lo, 2 * hi + 1)]
 
 
-def _check(res: SuiteResult, condition: bool, repro: str) -> None:
-    res.checked += 1
+def _check(res: SuiteResult, condition: bool, repro: str, count: int = 1) -> None:
+    """Record count checks, failing them with one line unless condition holds."""
+    res.checked += count
     if not condition:
         res.failures.append(repro)
 
 
-def _r_group(xi: InductionDatum) -> RGroupResult:
-    """r_group without the tie-break warning of its component labels,
-    which the sweeps do not check."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GluingAmbiguityWarning)
-        return r_group(xi)
+def _sweep(res: SuiteResult, chunk: Callable[..., SuiteResult], cases: list,
+           jobs: int) -> None:
+    """Run chunk on every case and merge the parts it returns into res."""
+    for part in map_jobs(chunk, cases, jobs):
+        res.checked += part.checked
+        res.failures.extend(part.failures)
+        res.deviations.extend(part.deviations)
 
 
 def _sweep_data(bounds: Bounds) -> list:
@@ -180,7 +179,7 @@ def _suite_example(bounds: Bounds, res: SuiteResult) -> None:
     started = time.perf_counter()
     rep = build_report(xi)
     elapsed = time.perf_counter() - started
-    _check(res, _r_group(xi).gluable_lengths == (11, 7), repro)
+    _check(res, r_group(xi).gluable_lengths == (11, 7), repro)
     _check(res, split((4, 3, 2, 1, 1), Fraction(3)).bipartition
            == Bipartition((4, 3, 2), (2,)), repro)
     _check(res, sorted(rep["datum"]["kappa"], reverse=True) == [11, 7, 4, 3], repro)
@@ -210,7 +209,7 @@ def _suite_principal(bounds: Bounds, res: SuiteResult) -> None:
         repro = _repro(n, 0, kappa, ())
         _check(res, rs.factors == (("D", n),), repro)
         _check(res, d_value(xi) == 1, repro)
-        _check(res, _r_group(xi).component_count == 2, repro)
+        _check(res, r_group(xi).component_count == 2, repro)
         for m in (Fraction(1), Fraction(3, 2), Fraction(2)):
             xi = InductionDatum(n, m, kappa, ())
             repro = _repro(n, m, kappa, ())
@@ -218,7 +217,7 @@ def _suite_principal(bounds: Bounds, res: SuiteResult) -> None:
             _check(res, not any(kind == "D" and rank >= 2 for kind, rank in factors),
                    repro)
             _check(res, d_value(xi) == 0, repro)
-            _check(res, _r_group(xi).component_count == 1, repro)
+            _check(res, r_group(xi).component_count == 1, repro)
 
 
 def _suite_splitting(bounds: Bounds, res: SuiteResult) -> None:
@@ -240,9 +239,9 @@ def _gluing_cases(bound_l: int):
                 yield (mu, m)
 
 
-def _gluing_chunk(args) -> tuple[int, list[str]]:
+def _gluing_chunk(args) -> SuiteResult:
     mu, m = args
-    checked, failures = 0, []
+    part = SuiteResult("gluing")
     sr = split(mu, m)
     mu_s = ",".join(str(q) for q in mu)
     for p in range(1, 13):
@@ -252,45 +251,35 @@ def _gluing_chunk(args) -> tuple[int, list[str]]:
         geometric = bool(glue_strip_geometric(mu, p, m))
         repro = f'bhecke rgroup -n {p + sum(mu)} -m {fmt_ratio(m)} --kappa {p} --mu "{mu_s}"'
         for cond in (glue == (direct == 0), glue == geometric, blockwise == direct):
-            checked += 1
-            if not cond:
-                failures.append(repro)
-    return checked, failures
+            _check(part, cond, repro)
+    return part
 
 
 def _suite_gluing(bounds: Bounds, res: SuiteResult) -> None:
-    cases = list(_gluing_cases(bounds.bound_l))
-    for checked, failures in map_jobs(_gluing_chunk, cases, bounds.jobs):
-        res.checked += checked
-        res.failures.extend(failures)
+    _sweep(res, _gluing_chunk, list(_gluing_cases(bounds.bound_l)), bounds.jobs)
 
 
-def _rgroup_chunk(args) -> tuple[int, list[str]]:
+def _rgroup_chunk(args) -> SuiteResult:
     n, m, kappa, mu = args
-    checked, failures = 0, []
+    part = SuiteResult("rgroup")
     xi = InductionDatum(n, m, kappa, mu)
     rs = restricted_root_system(xi)
-    rg = _r_group(xi)
+    rg = r_group(xi)
     survivors = brute_force_W_xi_xi(xi)
     members = brute_force_R(xi)
     repro = _repro(n, m, kappa, mu, " --oracle")
-    conds = (
+    for cond in (
         len(members) == 1 << rg.d,
         {g.images for g in members} == rg.elements(n),
         all((g * g).is_identity() for g in members),
         len(survivors) == rs.weyl_order * (1 << rg.d),
-    )
-    for cond in conds:
-        checked += 1
-        if not cond:
-            failures.append(repro)
-    return checked, failures
+    ):
+        _check(part, cond, repro)
+    return part
 
 
 def _suite_rgroup(bounds: Bounds, res: SuiteResult) -> None:
-    for checked, failures in map_jobs(_rgroup_chunk, _sweep_data(bounds), bounds.jobs):
-        res.checked += checked
-        res.failures.extend(failures)
+    _sweep(res, _rgroup_chunk, _sweep_data(bounds), bounds.jobs)
 
 
 def _suite_pairs(bounds: Bounds, res: SuiteResult) -> None:
@@ -301,39 +290,35 @@ def _suite_pairs(bounds: Bounds, res: SuiteResult) -> None:
                        f"pole_order_pair({p1}, {p2}, {sign!r})")
 
 
-def _counting_chunk(args) -> tuple[int, list[str], list[tuple]]:
+def _counting_chunk(args) -> SuiteResult:
     n, m, kappa, mu = args
-    checked, failures, deviations = 0, [], []
+    part = SuiteResult("counting")
     xi = InductionDatum(n, m, kappa, mu)
     repro = _repro(n, m, kappa, mu)
     full = springer_correspondents(xi)
     conds = [cardinality_check(xi, full), interval_count_check(xi, full)]
     if m == 1:
-        part = similarity_class(xi.split_result.bipartition, full.variant)
+        seed = similarity_class(xi.split_result.bipartition, full.variant)
         full_symbol = symbol(full.representative(), full.variant)
-        part_symbol = symbol(part.representative(), full.variant)
-        if intervals(full_symbol) and intervals(part_symbol):
+        seed_symbol = symbol(seed.representative(), full.variant)
+        if intervals(full_symbol) and intervals(seed_symbol):
             quotient = component_group_order_m1(full_symbol) \
-                / component_group_order_m1(part_symbol)
+                / component_group_order_m1(seed_symbol)
             conds.append(quotient == 1 << d_value(xi))
-    checked += len(conds)
     key = (n, m, kappa, mu)
-    if not all(conds):
-        if key in KNOWN_COUNTING_DEVIATIONS:
-            deviations.append(key)
-        else:
-            failures.append(repro)
-    elif key in KNOWN_COUNTING_DEVIATIONS:
-        failures.append(repro + "  (pinned deviation no longer deviates)")
-    return checked, failures, deviations
+    deviates = not all(conds)
+    if key in KNOWN_COUNTING_DEVIATIONS:
+        if deviates:
+            part.deviations.append(key)
+        _check(part, deviates, repro + "  (pinned deviation no longer deviates)",
+               len(conds))
+    else:
+        _check(part, not deviates, repro, len(conds))
+    return part
 
 
 def _suite_counting(bounds: Bounds, res: SuiteResult) -> None:
-    for checked, failures, deviations in map_jobs(_counting_chunk, _sweep_data(bounds),
-                                                  bounds.jobs):
-        res.checked += checked
-        res.failures.extend(failures)
-        res.deviations.extend(deviations)
+    _sweep(res, _counting_chunk, _sweep_data(bounds), bounds.jobs)
     if res.deviations:
         res.notes.append(f"known deviations: {len(res.deviations)} "
                          "(documented counting-identity counterexamples)")

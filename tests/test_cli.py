@@ -283,9 +283,9 @@ class TestSelftestCommand:
         assert code == 2
 
     def test_rgroup_suite_writes_nothing_to_stderr(self):
-        # A separate interpreter, because pytest captures warnings that a
-        # plain run prints to stderr. Rank 7 includes data whose component
-        # labels hit the gluing tie-break.
+        # A separate interpreter, because pytest captures what a plain run
+        # prints to stderr. Rank 7 includes data whose component labels
+        # break a gluing tie, which the sweep leaves unreported.
         src = str(Path(bhecke.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from bhecke.cfun import pole_order_short_direct
 from bhecke.rgroup import (
-    GluingAmbiguityWarning,
     InductionDatum,
     SignedPermutation,
     brute_force_R,
@@ -139,7 +138,6 @@ class TestSignedPermutation:
         assert e * w == w
 
 
-@pytest.mark.filterwarnings("ignore::bhecke.rgroup.GluingAmbiguityWarning")
 class TestGenerators:
     def test_flip_shapes(self):
         xi = InductionDatum(4, F(1, 2), (2, 2), ())
@@ -161,8 +159,8 @@ class TestGenerators:
 
 class TestRGroup:
     def test_worked_example(self):
-        with pytest.warns(GluingAmbiguityWarning):
-            rg = r_group(WORKED)
+        rg = r_group(WORKED)
+        assert [p for p, _, _ in rg.ambiguous_gluings] == [11, 7]
         assert rg.d == 2
         assert rg.gluable_lengths == (11, 7)
         assert rg.component_count == 4
@@ -172,12 +170,22 @@ class TestRGroup:
         assert labels[(7,)] == (4, 3, 3, 2, 2, 2, 2)
         assert labels[(11, 7)] == (4, 4, 3, 3, 3, 3, 3, 3, 3)
 
+    def test_worked_example_ties(self):
+        # (11,) and (7,) each glue onto mu with a tie; (11, 7) glues the
+        # 7-strip onto the label of (11,), where it fits one way only
+        ties = r_group(WORKED).ambiguous_gluings
+        assert [(p, onto, len(exts)) for p, onto, exts in ties] == [
+            (11, (4, 3, 2, 1, 1), 4), (7, (4, 3, 2, 1, 1), 3)]
+        assert ties[1][2] == ((4, 3, 3, 3, 3, 1, 1), (4, 3, 3, 3, 2, 2, 1),
+                              (4, 3, 3, 2, 2, 2, 2))
+
     def test_discrete_series_datum(self):
         xi = InductionDatum(2, F(1, 2), (), (2,))
         rg = r_group(xi)
         assert rg.d == 0
         assert rg.generators == ()
         assert rg.component_labels == (((), (2,)),)
+        assert rg.ambiguous_gluings == ()
 
     def test_label_count(self):
         xi = InductionDatum(6, 0, (2, 1, 1), (2,))
@@ -189,7 +197,6 @@ class TestRGroup:
         assert rg.d == 0
         assert rg.elements(2) == {(1, 2)}
 
-    @pytest.mark.filterwarnings("ignore::bhecke.rgroup.GluingAmbiguityWarning")
     def test_elements_of_the_worked_example(self):
         rg = r_group(WORKED)
         span = rg.elements(36)
@@ -308,7 +315,6 @@ class TestBruteForce:
         # every valid datum with n <= 5: R is elementary abelian of order
         # 2^d, contains the constructed generators, and the stabilizer has
         # order |W0(xi)| * 2^d
-        import warnings as _w
         data = [case for n in range(1, 6)
                 for case in induction_data(n, [F(k, 2) for k in range(7)])]
         assert len(data) == 428
@@ -319,9 +325,7 @@ class TestBruteForce:
             assert len(R) == 1 << d, (xi, len(R), d)
             ident = SignedPermutation.identity(xi.n)
             assert all(a * a == ident for a in R)
-            with _w.catch_warnings():
-                _w.simplefilter("ignore", GluingAmbiguityWarning)
-                rg = r_group(xi)
+            rg = r_group(xi)
             for g in rg.generators:
                 assert any(g == c for c in R), (xi, g)
             W = brute_force_W_xi_xi(xi)

@@ -1,6 +1,5 @@
 """Symbols, similarity classes, a_m, and truncated induction."""
 
-import warnings
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bhecke.partitions import Bipartition, enumerate_partitions
-from bhecke.rgroup import GluingAmbiguityWarning, InductionDatum, induction_data
+from bhecke.rgroup import InductionDatum, induction_data
 from bhecke import symbols
 from bhecke.splitting import split
 from bhecke.symbols import (
@@ -86,9 +85,7 @@ REFERENCE_VARIANTS = [v for m2 in [-4, -3, -1] + list(range(9))
 
 
 def worked_datum():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GluingAmbiguityWarning)
-        return InductionDatum(36, 3, (11, 7, 4, 3), (4, 3, 2, 1, 1))
+    return InductionDatum(36, 3, (11, 7, 4, 3), (4, 3, 2, 1, 1))
 
 
 class TestVariants:
