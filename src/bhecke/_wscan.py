@@ -5,7 +5,9 @@ lexicographic rank of the underlying permutation and bit j of s flips the
 sign of target coordinate j+1. The full signed-image table for one n is a
 (2^n*n!, n) int8 array (83 MB at n = 8), built once per n and shared; the
 sorted survivor indices of each simple-root shape (n, pset, short) are
-cached, a few hundred int64 per shape at n = 8.
+cached, a few hundred int64 per shape at n = 8. pi_survivors and
+w_survivor_indices return None for the whole group; r_member_indices
+always returns indices and caches nothing.
 """
 
 from __future__ import annotations
@@ -134,61 +136,32 @@ def w_survivor_indices(n: int, kappa: tuple[int, ...], l: int,
     return surv[keep]
 
 
-_r_full_cache: dict = {}
-
-
 def r_member_indices(n: int, kappa: tuple[int, ...], surv: np.ndarray | None,
-                     class_blocks: tuple[tuple[tuple[int, int], ...], ...],
+                     class_firsts: tuple[tuple[int, ...], ...],
                      gluable_flags: tuple[bool, ...]) -> np.ndarray:
-    """Indices of stabilizer elements preserving the positive restricted roots.
+    """Sorted indices of the stabilizer elements preserving the positive
+    restricted roots.
 
-    surv is the datum's stabilizer as w_survivor_indices returns it: sorted
-    indices, or None for the whole group. class_blocks groups the strip
-    blocks by equal length, each block given as (0-based block index,
-    0-based first coordinate); gluable_flags marks the classes whose factor
-    carries no single restricted root.
+    surv is the datum's stabilizer as w_survivor_indices returns it, None
+    meaning the whole group. class_firsts groups the 0-based first
+    coordinates c of the strip blocks by equal length; gluable_flags marks
+    the classes whose factor carries no single restricted root. Each block
+    filters only the candidates left by the ones before it: w(e_c) > 0,
+    except on the last block of a gluable class, and the block holding
+    |w(e_c)| strictly increases from each block of a class to the next,
+    which by transitivity orders every pair of the class.
     """
-    if surv is None:
-        key = (n, kappa, gluable_flags)
-        hit = _r_full_cache.get(key)
-        if hit is not None:
-            return hit
-        rows = images_table(n)
-
-        def col(c):
-            return rows[:, c]
-    else:
-        full = images_table(n)
-
-        def col(c):
-            return full[surv, c]
-
+    full = images_table(n)
     blk_of = np.full(n, -1, dtype=np.int8)
-    off = 0
-    for p, part in enumerate(kappa):
-        blk_of[off:off + part] = p
-        off += part
-
-    t = {}
-    s = {}
-    for blocks in class_blocks:
-        for p, c in blocks:
-            img0 = col(c)
-            t[p] = blk_of[np.abs(img0).astype(np.int16) - 1]
-            s[p] = img0 > 0
-
-    size = group_order(n) if surv is None else len(surv)
-    keep = np.ones(size, dtype=bool)
-    for blocks, gluable in zip(class_blocks, gluable_flags):
-        ps = [p for p, _ in blocks]
-        if not gluable:
-            for p in ps:
-                keep &= s[p]
-        for i, p in enumerate(ps):
-            for q in ps[i + 1:]:
-                keep &= (t[p] < t[q]) & s[p]
-
-    out = np.flatnonzero(keep) if surv is None else surv[keep]
-    if surv is None:
-        _r_full_cache[(n, kappa, gluable_flags)] = out
-    return out
+    blk_of[:sum(kappa)] = np.repeat(np.arange(len(kappa)), kappa)
+    for firsts, gluable in zip(class_firsts, gluable_flags):
+        for i, c in enumerate(firsts):
+            signed = i < len(firsts) - 1 or not gluable
+            if not (signed or i):
+                continue  # a one-block gluable class: no condition
+            img = full[slice(None) if surv is None else surv, c]
+            tgt = blk_of[np.abs(img) - 1]
+            keep = (img > 0 if signed else True) & (prev < tgt if i else True)
+            surv = np.flatnonzero(keep) if surv is None else surv[keep]
+            prev = tgt[keep]
+    return np.arange(group_order(n)) if surv is None else surv

@@ -16,7 +16,9 @@ such tie on its result as data.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -233,17 +235,10 @@ class RestrictedRootSystem:
         out = 1
         for typ, rank in self.factors:
             if typ == "B":
-                out *= (1 << rank) * _fact(rank)
+                out *= (1 << rank) * math.factorial(rank)
             elif typ == "D":
-                out *= (1 << (rank - 1)) * _fact(rank)
+                out *= (1 << (rank - 1)) * math.factorial(rank)
         return out
-
-
-def _fact(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def _vec(r: int, entries: dict) -> tuple[int, ...]:
@@ -447,52 +442,38 @@ def _gamma2(xi: InductionDatum) -> tuple[int, ...]:
 class WeylSubset(Sequence):
     """Lazy sorted subset of W(B_n), indexed by group rank.
 
-    Stores survivor ranks (or a whole-group flag) and materializes
-    SignedPermutation elements on demand, so the full W(B_8) stabilizer never
-    costs 10M objects.
+    Stores the sorted member ranks, an int64 array or, for the whole group,
+    a range, and materializes SignedPermutation elements on demand, so the
+    full W(B_8) stabilizer never costs 10M objects.
     """
 
-    def __init__(self, n: int, indices):
-        from . import _wscan
+    def __init__(self, n: int, ranks: Sequence[int]):
         self._n = n
-        self._indices = indices
-        self._size = _wscan.group_order(n) if indices is None else len(indices)
+        self._ranks = ranks
 
     @property
     def n(self) -> int:
         return self._n
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._ranks)
 
     def __getitem__(self, k: int) -> SignedPermutation:
         from . import _wscan
-        if k < 0:
-            k += self._size
-        if not 0 <= k < self._size:
-            raise IndexError(k)
-        rank = k if self._indices is None else int(self._indices[k])
-        return SignedPermutation(_wscan.unrank(self._n, rank))
+        return SignedPermutation(_wscan.unrank(self._n, int(self._ranks[k])))
 
     def __iter__(self) -> Iterator[SignedPermutation]:
         from . import _wscan
-        if self._indices is None:
-            for k in range(self._size):
-                yield SignedPermutation(_wscan.unrank(self._n, k))
-        else:
-            for k in self._indices:
-                yield SignedPermutation(_wscan.unrank(self._n, int(k)))
+        for rank in self._ranks:
+            yield SignedPermutation(_wscan.unrank(self._n, int(rank)))
 
     def __contains__(self, w) -> bool:
         from . import _wscan
         if not isinstance(w, SignedPermutation) or w.n != self._n:
             return False
         rank = _wscan.rank(w.images)
-        if self._indices is None:
-            return True
-        import numpy as np
-        pos = int(np.searchsorted(self._indices, rank))
-        return pos < len(self._indices) and int(self._indices[pos]) == rank
+        pos = bisect.bisect_left(self._ranks, rank)
+        return pos < len(self._ranks) and int(self._ranks[pos]) == rank
 
 
 def brute_force_W_xi_xi(xi: InductionDatum) -> WeylSubset:
@@ -500,7 +481,11 @@ def brute_force_W_xi_xi(xi: InductionDatum) -> WeylSubset:
     fixing the projection of the central character onto their span. Direct
     enumeration; bounded by HECKE_RGROUP_BOUND_N (default 8)."""
     _check_bound(xi.n)
-    return WeylSubset(xi.n, xi._stabilizer_indices)
+    from . import _wscan
+    ranks = xi._stabilizer_indices
+    if ranks is None:
+        ranks = range(_wscan.group_order(xi.n))
+    return WeylSubset(xi.n, ranks)
 
 
 def brute_force_R(xi: InductionDatum) -> list[SignedPermutation]:
@@ -510,10 +495,9 @@ def brute_force_R(xi: InductionDatum) -> list[SignedPermutation]:
     from . import _wscan
     classes = xi.length_classes()
     offsets = xi.offsets
-    class_blocks = tuple(tuple((p, offsets[p]) for p in ps)
-                         for _, ps in classes)
+    class_firsts = tuple(tuple(offsets[p] for p in ps) for _, ps in classes)
     gluable = {length for length, _ in xi.gluable_classes}
     gluable_flags = tuple(length in gluable for length, _ in classes)
     indices = _wscan.r_member_indices(xi.n, xi.kappa, xi._stabilizer_indices,
-                                      class_blocks, gluable_flags)
+                                      class_firsts, gluable_flags)
     return [SignedPermutation(_wscan.unrank(xi.n, int(k))) for k in indices]

@@ -4,10 +4,10 @@ Each suite checks one family of identities against an independent
 computation path and reports a count, a timing, and a minimal reproducer
 command line for any failure. Each suite is also the only implementation
 of its release criterion: the acceptance tests run it at RELEASE_BOUNDS.
-A full run takes about 3 s at the default bounds and 15 s at the release
+A full run takes about 3.5 s at the default bounds and 15 s at the release
 bounds on a 2-CPU Linux VM with Python 3.11. At the release bounds most of
-it goes to the rgroup suite (about 11 s); the gluing suite takes about 2 s
-and the counting suite about 1.5 s.
+it goes to the rgroup suite (about 10 s); the gluing suite takes about
+2.5 s and the counting suite about 1.8 s.
 """
 
 from __future__ import annotations

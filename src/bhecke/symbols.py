@@ -234,13 +234,20 @@ def similarity_class(b: Bipartition, variant: SymbolVariant) -> CharacterSet:
     its extra entry in the row it starts in, and the variant's top-row
     length fixes how many odd runs start on top. That leaves
     C(#odd runs, extra) * 2^(#even runs) candidates. A candidate is kept
-    if its rows decode to a bipartition reproducing the multiset. Some
-    half-variant candidates do not (a 0 in the bottom row never decodes),
-    so the class size is counted, not read off that product.
+    if its rows decode to a bipartition. Some half-variant candidates do
+    not (a 0 in the bottom row never decodes), so the class size is
+    counted, not read off that product.
+
+    Every decoded candidate is a member: its rows have the seed's lengths,
+    and it re-encodes to them, reproducing the multiset, unless both rows
+    start with a zero part, which would make that padding not minimal. The
+    seed's padding is minimal, so for whole m the entry 0 occurs at most
+    once, and for half m the entries 0 and 1 do not both occur (0 sits on
+    top, and 1 would then sit below). Either way no candidate has both
+    rows start with a zero part.
     """
     vals, t = _rows(b, variant)
-    target = sorted(vals)
-    counts = Counter(target)
+    counts = Counter(vals)
     doubles = [v for v, c in counts.items() if c == 2]
     runs = _singleton_runs(counts)
     odd_runs = [r for r in runs if (r[1] - r[0]) % 2 == 0]
@@ -256,7 +263,7 @@ def similarity_class(b: Bipartition, variant: SymbolVariant) -> CharacterSet:
                 start.extend(range(lo, hi + 1, 2))
                 other.extend(range(lo + 1, hi + 1, 2))
             cand = _decode_member(tuple(sorted(top)), tuple(sorted(bottom)), variant)
-            if cand is not None and sorted(_rows(cand, variant)[0]) == target:
+            if cand is not None:
                 members.add(cand)
     return CharacterSet(frozenset(members), variant, a_m(b, variant))
 

@@ -1,11 +1,15 @@
 """build_report: many-strip data, and each per-datum value derived once."""
 
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import bhecke
 from bhecke import _wscan, report, rgroup, selftest, splitting, symbols
 from bhecke.rgroup import InductionDatum, brute_force_W_xi_xi, r_group
 
@@ -123,3 +127,25 @@ def test_one_glue_per_component_label(monkeypatch):
 ])
 def test_tie_break_notes(fields, notes):
     assert report.build_report(InductionDatum(*fields))["notes"] == notes
+
+
+def test_only_the_oracle_imports_numpy():
+    # A separate interpreter, because this one has imported numpy already.
+    src = str(Path(bhecke.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"""
+import sys
+from fractions import Fraction
+from bhecke import InductionDatum, can_glue, residual_partitions
+from bhecke.report import build_report
+build_report(InductionDatum{WORKED!r})
+can_glue(3, (4, 3, 2, 1, 1), 3)
+residual_partitions(10, 1)
+assert "numpy" not in sys.modules
+build_report(InductionDatum{ORACLE!r}, oracle=True)
+assert "numpy" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -280,6 +280,18 @@ class TestBruteForce:
         with pytest.raises(IndexError):
             W[48]
 
+    def test_whole_group_needs_no_image_table(self):
+        from bhecke import _wscan
+        misses = _wscan.images_table.cache_info().misses
+        W = brute_force_W_xi_xi(InductionDatum(8, 0, (1,) * 8, ()))
+        assert len(W) == 10_321_920
+        assert W[-1] == SignedPermutation(tuple(range(-8, 0)))
+        with pytest.raises(IndexError):
+            W[10_321_920]
+        assert SignedPermutation((3, -1, 2, 8, -7, 4, 6, -5)) in W
+        assert SignedPermutation.identity(7) not in W
+        assert _wscan.images_table.cache_info().misses == misses
+
     def test_restricted_subset_membership(self):
         xi = InductionDatum(4, F(1, 2), (2,), (2,))
         W = brute_force_W_xi_xi(xi)

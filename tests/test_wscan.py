@@ -1,5 +1,7 @@
-"""The per-shape stabilizer survivors of _wscan against a pure-Python scan."""
+"""The stabilizer survivors and R members of _wscan against pure-Python
+scans."""
 
+from fractions import Fraction as F
 from functools import lru_cache
 
 import numpy as np
@@ -8,10 +10,12 @@ from bhecke._wscan import (
     group_order,
     pi_structure,
     pi_survivors,
+    rank,
     unrank,
     w_survivor_indices,
 )
 from bhecke.partitions import enumerate_partitions
+from bhecke.rgroup import InductionDatum, brute_force_R, induction_data
 
 
 def shapes(n_max):
@@ -73,3 +77,40 @@ def test_empty_parabolic_root_system_is_none():
     assert w_survivor_indices(3, (1, 1, 1), 0, (1, 1, 1)) is None
     assert w_survivor_indices(1, (1,), 0, (0,)) is None
     assert pi_survivors(3, (), False) is None
+
+
+def r_scan(xi):
+    """Ranks of the stabilizer elements w with, on every pair of blocks
+    p < q of one length class starting at coordinates a < b, w(e_a) > 0 and
+    the block holding |w(e_a)| before the one holding |w(e_b)|, and, on a
+    class that does not glue, w(e_a) > 0 on every block."""
+    block = [-1] * xi.n
+    for p, (a, part) in enumerate(zip(xi.offsets, xi.kappa)):
+        block[a:a + part] = [p] * part
+    gluable = {length for length, _ in xi.gluable_classes}
+    stab = xi._stabilizer_indices
+    ranks = range(group_order(xi.n)) if stab is None else stab.tolist()
+    out = []
+    for k in ranks:
+        images = elements(xi.n)[k]
+        ok = True
+        for length, ps in xi.length_classes():
+            firsts = [images[xi.offsets[p]] for p in ps]
+            if length not in gluable:
+                ok &= all(v > 0 for v in firsts)
+            for i, v in enumerate(firsts):
+                for w in firsts[i + 1:]:
+                    ok &= v > 0 and block[abs(v) - 1] < block[abs(w) - 1]
+        if ok:
+            out.append(k)
+    return out
+
+
+def test_r_members_match_python_scan():
+    data = [InductionDatum(*case) for n in range(1, 6)
+            for case in induction_data(n, [F(k, 2) for k in range(7)])]
+    assert len(data) == 428
+    assert sum(xi._stabilizer_indices is None for xi in data) == 35
+    for xi in data:
+        found = [rank(w.images) for w in brute_force_R(xi)]
+        assert found == r_scan(xi), xi
