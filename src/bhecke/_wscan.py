@@ -112,15 +112,18 @@ def w_survivor_indices(n: int, kappa: tuple[int, ...], l: int,
                        gamma2: tuple[int, ...]):
     """Indices of the stabilizer 𝒲: simple-root condition plus the character
     condition (image minus character constant per strip block, zero on the
-    tail). Returns None when the parabolic root system is empty, meaning the
-    whole group survives vacuously."""
+    tail). gamma2 is the central character scaled to integers; the scan
+    runs in int16 while the difference of two entries fits, else in int64.
+    Returns None when the parabolic root system is empty, meaning the whole
+    group survives vacuously."""
     surv = pi_survivors(n, *pi_structure(kappa, l, n))
     if surv is None:
         return None
     img = images_table(n)[surv]
-    g2 = np.array(gamma2, dtype=np.int16)
+    dtype = np.int16 if 2 * max(map(abs, gamma2)) < 1 << 15 else np.int64
+    g2 = np.array(gamma2, dtype=dtype)
     tgt = np.abs(img).astype(np.int64) - 1
-    vals = np.sign(img).astype(np.int16) * g2[None, :]
+    vals = np.sign(img).astype(dtype) * g2[None, :]
     wgam = np.empty_like(vals)
     np.put_along_axis(wgam, tgt, vals, axis=1)
     diff = wgam - g2[None, :]

@@ -33,7 +33,13 @@ from .partitions import (
     parse_ratio,
 )
 from .report import SCHEMA_VERSION, build_report, split_fields
-from .rgroup import InductionDatum, _check_bound, convert_C_labels, induction_data
+from .rgroup import (
+    BRUTE_FORCE_BOUND,
+    InductionDatum,
+    _check_bound,
+    convert_C_labels,
+    induction_data,
+)
 from .selftest import SUITE_NAMES, Bounds, map_jobs, run_selftest
 from .splitting import residual_partitions, split
 from .symbols import (
@@ -359,8 +365,12 @@ def cmd_table(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    bounds = Bounds(bound_n=args.bound_n, bound_l=args.bound_l, jobs=args.jobs)
-    return run_selftest(suites=args.suite or None, bounds=bounds)
+    bounds = Bounds(bound_n=args.bound_n, jobs=args.jobs)
+    try:
+        return run_selftest(suites=args.suite or None, bounds=bounds)
+    except ValueError as exc:
+        sys.stderr.write(f"bhecke selftest: {exc}\n")
+        return 2
 
 
 def cmd_convert_c(args) -> int:
@@ -407,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help='residual partition, comma-separated ("" for none)')
     p.add_argument("--oracle", action="store_true",
                    help="also run the brute-force Weyl group scans "
-                        "(n capped by HECKE_RGROUP_BOUND_N, default 8)")
+                        "(n at most %d)" % BRUTE_FORCE_BOUND)
     p.add_argument("--strict", action="store_true",
                    help="exit 1 if any consistency check fails")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
@@ -474,13 +484,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "selftest",
         help="run the invariant suites (release gate)",
         description="Run the oracle-equivalence suites; exit 0 iff all "
-                    "pass. Available suites: " + ", ".join(SUITE_NAMES) + ".")
+                    "pass. Available suites: " + ", ".join(SUITE_NAMES) + ". "
+                    "The rgroup suite scans W(B_n) and refuses a rank bound "
+                    "above %d before any suite runs." % BRUTE_FORCE_BOUND)
     p.add_argument("--suite", action="append", choices=SUITE_NAMES,
                    help="run only this suite (repeatable)")
-    p.add_argument("--bound-n", type=_at_least(0), default=Bounds().bound_n,
+    p.add_argument("--bound-n", type=_enumerable(0), default=Bounds().bound_n,
                    help="rank bound for the sweep suites (default %(default)s)")
-    p.add_argument("--bound-l", type=_at_least(0), default=Bounds().bound_l,
-                   help="weight bound for the gluing sweep (default %(default)s)")
     p.add_argument("--jobs", type=_at_least(1), default=1,
                    help="worker processes (at most the CPU count)")
     p.set_defaults(func=cmd_selftest)

@@ -143,21 +143,19 @@ def _partitions_of(n: int, maxpart: int) -> tuple[Partition, ...]:
 ENUMERATION_BOUND = 40
 
 
-def check_enumeration_bound(n: int, bound: int = ENUMERATION_BOUND) -> None:
-    """Refuse to enumerate the partitions of n above the bound."""
-    if n > bound:
-        raise ValueError(f"partition enumeration bound exceeded: {n} > {bound}")
+def check_enumeration_bound(n: int) -> None:
+    """Refuse to enumerate the partitions of n above ENUMERATION_BOUND."""
+    if n > ENUMERATION_BOUND:
+        raise ValueError(
+            f"partition enumeration bound exceeded: {n} > {ENUMERATION_BOUND}")
 
 
-def enumerate_partitions(n: int, bound: int = ENUMERATION_BOUND) -> list[Partition]:
-    """All partitions of n in descending lexicographic order.
-
-    The bound guards against accidental huge enumerations; raise it
-    explicitly if a sweep really needs more.
-    """
+def enumerate_partitions(n: int) -> list[Partition]:
+    """All partitions of n in descending lexicographic order, for n up to
+    ENUMERATION_BOUND (p(40) = 37,338)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    check_enumeration_bound(n, bound)
+    check_enumeration_bound(n)
     return list(_partitions_of(n, n if n else 1))
 
 

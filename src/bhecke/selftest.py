@@ -4,10 +4,13 @@ Each suite checks one family of identities against an independent
 computation path and reports a count, a timing, and a minimal reproducer
 command line for any failure. Each suite is also the only implementation
 of its release criterion: the acceptance tests run it at RELEASE_BOUNDS.
-A full run takes about 3.5 s at the default bounds and 15 s at the release
-bounds on a 2-CPU Linux VM with Python 3.11. At the release bounds most of
-it goes to the rgroup suite (about 10 s); the gluing suite takes about
-2.5 s and the counting suite about 1.8 s.
+The only bound a caller sets is the rank of the sweeps, bound_n; every
+other bound is a constant of its suite. run_selftest refuses a bound_n the
+rgroup suite cannot scan before it runs anything. A full run takes about
+3.5 s at the default bounds and 15 s at the release bounds on a 2-CPU Linux
+VM with Python 3.11. At the release bounds most of it goes to the rgroup
+suite (about 10 s); the gluing suite takes about 2.5 s and the counting
+suite about 1.8 s.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .cfun import (
 from .partitions import Bipartition, enumerate_partitions, fmt_ratio
 from .rgroup import (
     InductionDatum,
+    _check_bound,
     brute_force_R,
     brute_force_W_xi_xi,
     can_glue,
@@ -62,8 +66,10 @@ SUITE_NAMES = (
 )
 
 __all__ = [
+    "GLUING_WEIGHT_BOUND",
     "KNOWN_COUNTING_DEVIATIONS",
     "RELEASE_BOUNDS",
+    "SPLITTING_WEIGHT_BOUND",
     "SUITE_NAMES",
     "Bounds",
     "SuiteResult",
@@ -114,7 +120,6 @@ KNOWN_COUNTING_DEVIATIONS = frozenset({
 @dataclass(frozen=True)
 class Bounds:
     bound_n: int = 6
-    bound_l: int = 10
     jobs: int = 1
 
 
@@ -122,6 +127,8 @@ class Bounds:
 # bounds are fixed in the suites: strips to 12, splitting weights to 12,
 # gluing weights to 10, m in {0, 1/2, ..., 6}.
 RELEASE_BOUNDS = Bounds(bound_n=8)
+SPLITTING_WEIGHT_BOUND = 12
+GLUING_WEIGHT_BOUND = 10
 
 
 @dataclass
@@ -221,8 +228,7 @@ def _suite_principal(bounds: Bounds, res: SuiteResult) -> None:
 
 
 def _suite_splitting(bounds: Bounds, res: SuiteResult) -> None:
-    top = max(12, bounds.bound_l)
-    for l in range(1, top + 1):
+    for l in range(1, SPLITTING_WEIGHT_BOUND + 1):
         for lam in enumerate_partitions(l):
             for m in _half_integers(0, 6):
                 defined = split(lam, m) is not None
@@ -232,9 +238,9 @@ def _suite_splitting(bounds: Bounds, res: SuiteResult) -> None:
                        f'bhecke split --lam "{lam_s}" -m {fmt_ratio(m)}')
 
 
-def _gluing_cases(bound_l: int):
+def _gluing_cases():
     for m in _half_integers(0, 6):
-        for l in range(0, bound_l + 1):
+        for l in range(0, GLUING_WEIGHT_BOUND + 1):
             for mu in residual_partitions(l, m):
                 yield (mu, m)
 
@@ -256,7 +262,7 @@ def _gluing_chunk(args) -> SuiteResult:
 
 
 def _suite_gluing(bounds: Bounds, res: SuiteResult) -> None:
-    _sweep(res, _gluing_chunk, list(_gluing_cases(bounds.bound_l)), bounds.jobs)
+    _sweep(res, _gluing_chunk, list(_gluing_cases()), bounds.jobs)
 
 
 def _rgroup_chunk(args) -> SuiteResult:
@@ -369,15 +375,20 @@ def map_jobs(fn, cases, jobs: int) -> list:
         return list(pool.map(fn, cases, chunksize=max(1, len(cases) // (8 * workers))))
 
 
-def _suite(name: str) -> Callable[[Bounds, SuiteResult], None]:
+def _suite(name: str, bounds: Bounds) -> Callable[[Bounds, SuiteResult], None]:
+    """The suite called name, refusing an unknown name, or a bound_n above
+    the brute-force bound for the rgroup suite."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if name == "rgroup":
+        _check_bound(bounds.bound_n)
     return _SUITES[name]
 
 
 def run_suite(name: str, bounds: Bounds = Bounds()) -> SuiteResult:
-    """Run one suite and time it; a run that checked nothing gets a note."""
-    suite = _suite(name)
+    """Run one suite and time it; a run that checked nothing gets a note.
+    Raises ValueError, before any check runs, where _suite refuses."""
+    suite = _suite(name, bounds)
     res = SuiteResult(name)
     started = time.perf_counter()
     suite(bounds, res)
@@ -390,10 +401,14 @@ def run_suite(name: str, bounds: Bounds = Bounds()) -> SuiteResult:
 def run_selftest(suites: Optional[Iterable[str]] = None,
                  bounds: Bounds = Bounds(),
                  emit: Callable[[str], None] = print) -> int:
-    """Run the selected suites (all by default); 0 iff everything passed."""
+    """Run the selected suites (all by default); 0 iff everything passed.
+
+    Raises ValueError before running anything for an unknown suite, or for
+    a bound_n above the brute-force bound when the rgroup suite is selected.
+    """
     names = list(suites) if suites else list(SUITE_NAMES)
     for name in names:
-        _suite(name)
+        _suite(name, bounds)
     total_failures = 0
     failed_suites = []
     for name in names:

@@ -89,9 +89,13 @@ def test_criterion_7_counting_identities(counting):
     strict=True,
     reason="the classical counting identities (class size = 2^d times the "
            "seed class; interval count additivity; the m=1 order quotient) "
-           "admit exactly 27 counterexamples in this sweep, all at "
-           "m in {1/2, 1, 3/2} with entries piled up near zero. Each was "
-           "confirmed by exhaustively enumerating the a-maximal choices at "
+           "admit exactly 27 counterexamples in this sweep (n <= 8, "
+           "m in {0, 1/2, ..., 4}), all at m in {1/2, 1, 3/2}. Entries piled "
+           "up near zero do not explain them: at n = 11, m = 0, kappa = (3) "
+           "and mu = (4,4) or (2,2,2,2) have d = 0 and an induced class of 4 "
+           "and fail both checks; the cause is open. Each pinned "
+           "counterexample was confirmed by exhaustively enumerating the "
+           "a-maximal choices at "
            "every induction step, and the d values are backed by the "
            "three-way gluing agreement and the brute-force sweep. The green "
            "test above pins the deviation set in both directions. "

@@ -72,25 +72,27 @@ class TestRGroupCommand:
         assert rep["checks"]["oracleRGroup"] is True
         assert rep["checks"]["oracleStabilizerOrder"] is True
 
-    def test_oracle_bound_is_enforced(self, capsys, monkeypatch):
-        monkeypatch.setenv("HECKE_RGROUP_BOUND_N", "1")
-        code, _, err = run_cli(
-            ["rgroup", "-n", "2", "-m", "0", "--kappa", "1,1", "--oracle"],
-            capsys)
-        assert code == 2
-        assert "HECKE_RGROUP_BOUND_N" in err
-
-    @pytest.mark.parametrize("raw", ["eight", "0", "-3", "8.5", ""])
-    def test_oracle_rejects_bad_bound(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("HECKE_RGROUP_BOUND_N", raw)
+    def test_oracle_bound_is_enforced(self, capsys):
         code, out, err = run_cli(
-            ["rgroup", "-n", "2", "-m", "0", "--kappa", "1,1", "--oracle"],
-            capsys)
+            ["rgroup", "-n", "9", "-m", "0", "--kappa", "1,1,1,1,1,1,1,1,1",
+             "--oracle"], capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("bhecke rgroup: HECKE_RGROUP_BOUND_N must be")
-        assert repr(raw) in err
-        assert "Traceback" not in err
+        assert err == ("bhecke rgroup: brute force over W(B_9) exceeds the "
+                       "bound 8: its image table alone needs 1,672,151,040 "
+                       "bytes\n")
+
+    @pytest.mark.parametrize("m, kappa, mu", [("1/3", "1", "2"),
+                                              ("20000", "2", "1")])
+    def test_oracle_off_the_half_integers(self, capsys, m, kappa, mu):
+        # A third-integer character, and one whose scan needs int64.
+        code, out, _ = run_cli(
+            ["rgroup", "-n", "3", "-m", m, "--kappa", kappa, "--mu", mu,
+             "--oracle", "--json"], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["checks"]["oracleRGroup"] is True
+        assert rep["checks"]["oracleStabilizerOrder"] is True
 
     def test_strict_passes_on_clean_datum(self, capsys):
         code, _, _ = run_cli(
@@ -306,14 +308,13 @@ class TestSelftestCommand:
     (["table", "-n", "0"], "-n"),
     (["table", "-n", "2", "--jobs", "0"], "--jobs"),
     (["selftest", "--suite", "pairs", "--jobs", "0"], "--jobs"),
-    (["selftest", "--suite", "pairs", "--bound-n", "-1", "--bound-l", "-5"], "--bound-n"),
-    (["selftest", "--suite", "gluing", "--bound-l", "-1"], "--bound-l"),
+    (["selftest", "--suite", "pairs", "--bound-n", "-1"], "--bound-n"),
     (["residual", "-l", "41", "-m", "1/2"], "-l"),
     (["table", "-n", "41", "--m-list", "1"], "-n"),
 ], ids=["rgroup-zero-denominator", "symbols-zero-denominator",
         "residual-negative-weight", "table-rank-zero", "table-jobs-zero",
         "selftest-jobs-zero", "selftest-negative-rank-bound",
-        "selftest-negative-weight-bound", "residual-weight-over-bound",
+        "residual-weight-over-bound",
         "table-rank-over-bound"])
 def test_bad_input_is_a_usage_error(capsys, argv, field):
     code, out, err = run_cli(argv, capsys)
@@ -321,6 +322,44 @@ def test_bad_input_is_a_usage_error(capsys, argv, field):
     assert out == ""
     assert f"argument {field}:" in err
     assert "Traceback" not in err
+
+
+BRUTE_FORCE_REFUSAL = ("bhecke selftest: brute force over W(B_9) exceeds the "
+                       "bound 8: its image table alone needs 1,672,151,040 bytes")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["selftest", "--bound-n", "9"], BRUTE_FORCE_REFUSAL),
+    (["selftest", "--suite", "rgroup", "--bound-n", "9"], BRUTE_FORCE_REFUSAL),
+    (["selftest", "--suite", "counting", "--bound-n", "41"],
+     "bhecke selftest: error: argument --bound-n: partition enumeration "
+     "bound exceeded: 41 > 40"),
+    (["selftest", "--bound-l", "10"],
+     "bhecke: error: unrecognized arguments: --bound-l 10"),
+], ids=["all-suites-rank-9", "rgroup-rank-9", "counting-rank-41", "bound-l"])
+def test_selftest_refuses_before_running(capsys, argv, message):
+    # No suite line is printed: the bounds are checked before any suite runs.
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == message
+    assert not any(line.startswith("bhecke") for line in err.splitlines()[:-1])
+
+
+def test_rgroup_suite_refuses_before_checking(monkeypatch):
+    # run_suite checks the rank bound before the sweep builds any datum.
+    monkeypatch.setattr(selftest, "_sweep_data", None)
+    with pytest.raises(ValueError, match="exceeds the bound 8"):
+        selftest.run_suite("rgroup", selftest.Bounds(bound_n=9))
+
+
+def test_selftest_rank_9_without_rgroup_runs(capsys):
+    # Only the rgroup suite scans W(B_n).
+    code, out, _ = run_cli(["selftest", "--suite", "pairs", "--bound-n", "9"],
+                           capsys)
+    assert code == 0
+    assert out.startswith("suite pairs")
 
 
 class _FakePool:

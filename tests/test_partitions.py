@@ -112,9 +112,9 @@ def test_enumerate_partitions_counts():
     assert enumerate_partitions(0) == [()]
     assert enumerate_partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert len(enumerate_partitions(10)) == 42
-    with pytest.raises(ValueError):
+    assert len(enumerate_partitions(40)) == 37338
+    with pytest.raises(ValueError, match="41 > 40"):
         enumerate_partitions(41)
-    assert len(enumerate_partitions(41, bound=50)) == 44583
 
 
 def test_parse_ratio():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from bhecke.cfun import pole_order_short_direct
 from bhecke.rgroup import (
+    BRUTE_FORCE_BOUND,
     InductionDatum,
+    _check_bound,
     SignedPermutation,
     brute_force_R,
     brute_force_W_xi_xi,
@@ -119,20 +121,18 @@ class TestSignedPermutation:
 
     def test_compose_and_invert(self):
         w = SignedPermutation((-2, 1, 3))
-        assert (w * w.inverse()).is_identity()
-        assert (w.inverse() * w).is_identity()
         v = SignedPermutation((3, -1, 2))
         # (w*v)(e_1) = w(e_3) = e_3
         assert (w * v).images == (3, 2, 1)
-
-    def test_apply(self):
-        w = SignedPermutation((-2, 1, 3))
-        assert w.apply((F(5), F(7), F(9))) == (F(7), F(-5), F(9))
+        # w has order 4, so its inverse is w^3 = (2, -1, 3)
+        w_inv = w * w * w
+        assert w_inv.images == (2, -1, 3)
+        assert (w * w_inv).is_identity() and (w_inv * w).is_identity()
 
     @given(st.permutations(range(1, 5)), st.lists(st.booleans(), min_size=4, max_size=4))
     def test_group_axioms(self, perm, signs):
         w = SignedPermutation(tuple(p if s else -p for p, s in zip(perm, signs)))
-        assert (w * w.inverse()).is_identity()
+        assert (w * w) * w == w * (w * w)
         e = SignedPermutation.identity(4)
         assert w * e == w
         assert e * w == w
@@ -299,29 +299,27 @@ class TestBruteForce:
         assert SignedPermutation((2, 1, 3, 4)) not in W
         assert SignedPermutation((1, 2, 4, 3)) not in W
 
-    def test_bound_is_enforced(self, monkeypatch):
-        monkeypatch.setenv("HECKE_RGROUP_BOUND_N", "3")
-        xi = InductionDatum(4, 0, (1, 1, 1, 1), ())
-        with pytest.raises(ValueError, match="bound"):
+    def test_bound_is_enforced(self):
+        xi = InductionDatum(9, 0, (1,) * 9, ())
+        with pytest.raises(ValueError, match="exceeds the bound 8"):
             brute_force_W_xi_xi(xi)
-        with pytest.raises(ValueError, match="bound"):
+        with pytest.raises(ValueError, match="exceeds the bound 8"):
             brute_force_R(xi)
-        monkeypatch.setenv("HECKE_RGROUP_BOUND_N", "4")
-        assert len(brute_force_W_xi_xi(xi)) == 384
+        assert len(brute_force_W_xi_xi(InductionDatum(4, 0, (1,) * 4, ()))) == 384
 
     @pytest.mark.parametrize("n,size", [(4, "1,536"), (8, "82,575,360"),
-                                        (9, "1,672,151,040")])
-    def test_bound_states_table_size(self, monkeypatch, n, size):
-        from bhecke.rgroup import _check_bound
-        monkeypatch.setenv("HECKE_RGROUP_BOUND_N", "3")
-        with pytest.raises(ValueError, match=f"table alone needs {size} bytes;"):
+                                        (9, "1,672,151,040"),
+                                        (10, "37,158,912,000")])
+    def test_bound_states_table_size(self, n, size):
+        # Up to the bound the stated size is the table's; above it the
+        # refusal states it.
+        if n <= BRUTE_FORCE_BOUND:
+            from bhecke import _wscan
             _check_bound(n)
-
-    @pytest.mark.parametrize("raw", ["x", "0", "-1", "2.0"])
-    def test_bad_bound_is_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("HECKE_RGROUP_BOUND_N", raw)
-        with pytest.raises(ValueError, match="must be an integer >= 1"):
-            brute_force_W_xi_xi(InductionDatum(2, 0, (1, 1), ()))
+            assert f"{_wscan.images_table(n).nbytes:,}" == size
+        else:
+            with pytest.raises(ValueError, match=f"table alone needs {size} bytes$"):
+                _check_bound(n)
 
     def test_oracle_agreement_small(self):
         # every valid datum with n <= 5: R is elementary abelian of order
@@ -343,6 +341,23 @@ class TestBruteForce:
             W = brute_force_W_xi_xi(xi)
             w0 = restricted_root_system(xi).weyl_order
             assert len(W) == w0 * (1 << d), (xi, len(W))
+
+    def test_oracle_agreement_off_the_half_integers(self):
+        # Every valid datum with n <= 6 at nine m whose denominator is not
+        # 1 or 2: the stabilizer scan takes the central character scaled by
+        # 2 * denominator(m). Every one of these data has d = 0, so this
+        # pins R = {1} and |W_xi,xi| = |W0(xi)|.
+        ms = [F(1, 3), F(2, 3), F(3, 4), F(5, 4), F(4, 3), F(5, 3),
+              F(7, 3), F(2, 5), F(7, 4)]
+        data = [case for n in range(1, 7) for case in induction_data(n, ms)]
+        assert len(data) == 1242
+        for case in data:
+            xi = InductionDatum(*case)
+            rg = r_group(xi)
+            assert rg.d == 0, case
+            assert {w.images for w in brute_force_R(xi)} == rg.elements(xi.n), case
+            w0 = restricted_root_system(xi).weyl_order
+            assert len(brute_force_W_xi_xi(xi)) == w0 << rg.d, case
 
 
 class TestInductionDatum:

@@ -73,6 +73,15 @@ def test_repeated_call_returns_cached_array():
     assert np.isin(once, first).all()
 
 
+def test_wide_character_gives_the_same_survivors():
+    # Entries whose differences leave int16 switch the scan to int64; a
+    # positive scale of the character keeps the survivors.
+    gamma2 = (1, 3, 5, 0, 2, 2)
+    narrow = w_survivor_indices(6, (3, 2), 1, gamma2)
+    wide = w_survivor_indices(6, (3, 2), 1, tuple(20000 * g for g in gamma2))
+    assert np.array_equal(narrow, wide)
+
+
 def test_empty_parabolic_root_system_is_none():
     assert w_survivor_indices(3, (1, 1, 1), 0, (1, 1, 1)) is None
     assert w_survivor_indices(1, (1,), 0, (0,)) is None
