@@ -8,10 +8,8 @@ orders, symbols and truncated induction, and brute-force Weyl-group checks.
 """
 
 from .partitions import (
-    AStrip,
     Bipartition,
     BoxCoord,
-    MTableau,
     Partition,
     content,
     enumerate_partitions,
@@ -46,7 +44,6 @@ from .rgroup import (
     brute_force_W_xi_xi,
     can_glue,
     convert_C_labels,
-    d_value,
     glue_strip_geometric,
     induction_data,
     r_group,
@@ -64,7 +61,6 @@ from .symbols import (
     interval_count_check,
     intervals,
     pieri_induct,
-    similar,
     similarity_class,
     springer_correspondents,
     symbol,
@@ -75,19 +71,18 @@ from .symbols import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AStrip", "Bipartition", "Block", "BoxCoord", "CharacterSet",
-    "InductionDatum", "MTableau", "MINUS_ZERO", "Orientation", "PLUS_ZERO",
-    "Partition", "RGroupResult",
+    "Bipartition", "Block", "BoxCoord", "CharacterSet", "InductionDatum",
+    "MINUS_ZERO", "Orientation", "PLUS_ZERO", "Partition", "RGroupResult",
     "RestrictedRootSystem", "SignedPermutation", "SplitResult", "Symbol",
     "SymbolVariant", "WeylSubset", "a_m", "brute_force_R",
     "brute_force_W_xi_xi", "can_glue", "cardinality_check",
     "central_character", "component_group_order_m1", "content",
-    "convert_C_labels", "d_value", "datum_error", "enumerate_partitions",
+    "convert_C_labels", "datum_error", "enumerate_partitions",
     "glue_strip_geometric", "induction_data", "interval_count_check", "intervals",
     "is_residual_point", "m_tableau", "pieri_induct", "pole_order_A_part",
     "pole_order_block", "pole_order_pair", "pole_order_short_blockwise",
     "pole_order_short_direct", "r_group", "residual_counts",
-    "residual_partitions", "restricted_root_system", "similar",
-    "similarity_class", "split", "springer_correspondents", "strip",
-    "symbol", "truncated_induct", "variants_for_m",
+    "residual_partitions", "restricted_root_system", "similarity_class",
+    "split", "springer_correspondents", "strip", "symbol", "truncated_induct",
+    "variants_for_m",
 ]

@@ -45,22 +45,6 @@ def unrank(n: int, k: int) -> tuple[int, ...]:
     return tuple((j + 1) * (-1 if (s >> j) & 1 else 1) for j in perm)
 
 
-def rank(images: tuple[int, ...]) -> int:
-    n = len(images)
-    perm = [abs(v) - 1 for v in images]
-    pool = list(range(n))
-    p = 0
-    for i, j in enumerate(perm):
-        d = pool.index(j)
-        p += d * factorial(n - 1 - i)
-        pool.pop(d)
-    s = 0
-    for v in images:
-        if v < 0:
-            s |= 1 << (-v - 1)
-    return s * factorial(n) + p
-
-
 def pi_structure(kappa: tuple[int, ...], l: int, n: int) -> tuple[tuple[int, ...], bool]:
     """Chain positions a (roots e_a - e_{a+1}) and whether e_n is a simple root."""
     pset = []

@@ -96,8 +96,16 @@ def _enumerable(minimum: int):
     return _arg(enumerable)
 
 
+def _parameter(text: str) -> Fraction:
+    """An exact fraction m >= 0, the range of the parameter ratio."""
+    m = parse_ratio(text)
+    if m < 0:
+        raise ValueError(f"m={fmt_ratio(m)} is negative")
+    return m
+
+
 def _ratio_list(text: str) -> tuple:
-    return tuple(parse_ratio(p) for p in text.split(","))
+    return tuple(_parameter(p) for p in text.split(","))
 
 
 def _variant(text: str):
@@ -430,7 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "residual point at m, with its split and symbol rows.")
     p.add_argument("-l", type=_enumerable(0), required=True,
                    help="weight to enumerate (0 to %d)" % ENUMERATION_BOUND)
-    p.add_argument("-m", type=_arg(parse_ratio), required=True, help="exact fraction")
+    p.add_argument("-m", type=_arg(_parameter), required=True,
+                   help="exact fraction >= 0")
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=cmd_residual)
 
@@ -441,7 +450,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "peeled blocks or that the partition is not residual.")
     p.add_argument("--lam", type=_arg(parse_partition), required=True,
                    help="partition, comma-separated parts")
-    p.add_argument("-m", type=_arg(parse_ratio), required=True, help="exact fraction")
+    p.add_argument("-m", type=_arg(_parameter), required=True,
+                   help="exact fraction >= 0")
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=cmd_split)
 
@@ -472,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=_enumerable(1), required=True,
                    help="rank to sweep (1 to %d)" % ENUMERATION_BOUND)
     p.add_argument("--m-list", type=_arg(_ratio_list), default=_ratio_list("0,1/2,1,3/2,2"),
-                   help="comma-separated exact fractions (default 0,1/2,1,3/2,2)")
+                   help="comma-separated exact fractions >= 0 (default 0,1/2,1,3/2,2)")
     p.add_argument("--jobs", type=_at_least(1), default=1,
                    help="worker processes (at most the CPU count)")
     fmt = p.add_mutually_exclusive_group()

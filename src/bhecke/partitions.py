@@ -1,4 +1,4 @@
-"""Exact Young-diagram primitives: partitions, contents, m-tableaux, A-strips.
+"""Exact Young-diagram primitives: partitions, contents, m-tableaux, strips.
 
 All arithmetic is exact: quantities derived from the parameter m live in
 `fractions.Fraction`. Partitions are tuples of positive ints stored weakly
@@ -14,11 +14,9 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 __all__ = [
-    "AStrip",
     "Bipartition",
     "BoxCoord",
     "ENUMERATION_BOUND",
-    "MTableau",
     "Partition",
     "addable_boxes",
     "as_partition",
@@ -75,46 +73,24 @@ def boxes(lam: Partition) -> Iterator[BoxCoord]:
             yield (r, c)
 
 
-@dataclass(frozen=True)
-class MTableau:
-    """Young diagram of `shape` with box entries |content + m|."""
-
-    shape: Partition
-    m: Fraction
-    entries: dict
-
-    def entry(self, box: BoxCoord) -> Fraction:
-        return self.entries[box]
-
-    def entry_multiset(self) -> tuple[Fraction, ...]:
-        """All entries, sorted ascending (multiset as a canonical tuple)."""
-        return tuple(sorted(self.entries.values()))
-
-
-def m_tableau(lam: Partition, m: Fraction) -> MTableau:
+def m_tableau(lam: Partition, m: Fraction) -> dict[BoxCoord, Fraction]:
+    """The m-tableau of lam: each box of its Young diagram mapped to the
+    entry |content + m|."""
     mm = Fraction(m)
-    entries = {box: abs(content(box) + mm) for box in boxes(lam)}
-    return MTableau(shape=lam, m=mm, entries=entries)
+    return {box: abs(content(box) + mm) for box in boxes(lam)}
 
 
-@dataclass(frozen=True)
-class AStrip:
-    """Row of p boxes with entries -(p-1)/2, ..., (p-1)/2 in steps of 1.
+def strip(p: int) -> tuple[Fraction, ...]:
+    """The signed entries -(p-1)/2, ..., (p-1)/2, in steps of 1, of a row
+    of p boxes.
 
-    The signed entries are the exponents of the length-p factor of a central
-    character; their absolute values are the entries a gluing adds to a
-    tableau.
+    They are the exponents of the length-p factor of a central character;
+    their absolute values are the entries a gluing adds to a tableau.
     """
-
-    length: int
-    signed_entries: tuple[Fraction, ...]
-
-
-def strip(p: int) -> AStrip:
     if p < 1:
         raise ValueError("strip length must be >= 1")
     z = Fraction(p - 1, 2)
-    return AStrip(length=p, signed_entries=tuple(-z + k for k in range(p)))
+    return tuple(-z + k for k in range(p))
 
 
 def addable_boxes(lam: Partition) -> list[BoxCoord]:

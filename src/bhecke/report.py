@@ -44,10 +44,6 @@ SCHEMA_VERSION = 1
 __all__ = ["SCHEMA_VERSION", "build_report", "split_fields"]
 
 
-def _parts(p) -> list:
-    return list(p)
-
-
 def _generator_entry(g: SignedPermutation) -> dict:
     word = " ".join(str(v) for v in g.images)
     return {"word": f"[{word}]", "images": list(g.images)}
@@ -56,8 +52,8 @@ def _generator_entry(g: SignedPermutation) -> dict:
 def split_fields(sr: SplitResult) -> dict:
     """The first, second and blocks fields of a defined split."""
     return {
-        "first": _parts(sr.bipartition.first),
-        "second": _parts(sr.bipartition.second),
+        "first": list(sr.bipartition.first),
+        "second": list(sr.bipartition.second),
         "blocks": [
             {
                 "orientation": blk.orientation.value,
@@ -129,7 +125,7 @@ def build_report(xi: InductionDatum, oracle: bool = False) -> dict:
             "variant": cls.variant.label,
             "size": len(cls.members),
             "aValue": cls.a_value,
-            "representative": {"first": _parts(rep.first), "second": _parts(rep.second)},
+            "representative": {"first": list(rep.first), "second": list(rep.second)},
             "symbol": {"top": list(rep_symbol.top), "bottom": list(rep_symbol.bottom)},
             "intervals": [list(iv) for iv in intervals(rep_symbol)],
         }
@@ -147,8 +143,8 @@ def build_report(xi: InductionDatum, oracle: bool = False) -> dict:
         "datum": {
             "n": xi.n,
             "m": fmt_ratio(xi.m),
-            "kappa": _parts(xi.kappa),
-            "mu": _parts(xi.mu),
+            "kappa": list(xi.kappa),
+            "mu": list(xi.mu),
         },
         "centralCharacter": [fmt_ratio(v) for v in cc],
         "residualDiagnostics": {
@@ -166,7 +162,7 @@ def build_report(xi: InductionDatum, oracle: bool = False) -> dict:
         "componentCount": rg.component_count,
         "generators": [_generator_entry(g) for g in rg.generators],
         "componentLabels": [
-            {"J": _parts(J), "muJ": None if label is None else _parts(label)}
+            {"J": list(J), "muJ": None if label is None else list(label)}
             for J, label in rg.component_labels
         ],
         "springerClass": springer_doc,

@@ -7,7 +7,8 @@ kappa, and the R-group is an elementary abelian 2-group with one generator
 per gluable class. The brute-force path enumerates W(B_n) directly and
 recomputes everything from the definitions; the two must agree on every valid
 datum, and the sweep tests hold them to that. Each InductionDatum derives
-its split, gluable classes and stabilizer once, and every caller reads them.
+its split, gluable classes and stabilizer once, and every caller reads them,
+except the brute-force R scan, which recounts gluability from the c-function.
 
 A component label glues one strip per length onto mu. Where a strip fits
 onto several partitions the least one is taken, and r_group records every
@@ -16,16 +17,15 @@ such tie on its result as data.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Optional
 
-from .cfun import pole_order_short_blockwise
+from .cfun import pole_order_short_blockwise, pole_order_short_direct
 from .partitions import (
     Partition,
     addable_boxes,
@@ -51,7 +51,6 @@ __all__ = [
     "brute_force_W_xi_xi",
     "can_glue",
     "convert_C_labels",
-    "d_value",
     "glue_strip_geometric",
     "induction_data",
     "r_group",
@@ -220,15 +219,9 @@ def glue_strip_geometric(mu: Partition, p: int, m: Fraction) -> list[Partition]:
 
 @dataclass(frozen=True)
 class RestrictedRootSystem:
-    """R0(xi) in the basis E_1..E_r of strip-block classes.
+    """R0(xi) as one (type, rank) factor per equal-length class of kappa,
+    in decreasing length order, with a rank-1 D factor recorded as Empty."""
 
-    positive_roots are integer coefficient vectors of length basis_rank;
-    factors lists one (type, rank) per equal-length class in decreasing
-    length order, with a rank-1 D factor recorded as Empty.
-    """
-
-    basis_rank: int
-    positive_roots: tuple[tuple[int, ...], ...]
     factors: tuple[tuple[str, int], ...]
 
     @property
@@ -242,42 +235,20 @@ class RestrictedRootSystem:
         return out
 
 
-def _vec(r: int, entries: dict) -> tuple[int, ...]:
-    out = [0] * r
-    for idx, coef in entries.items():
-        out[idx] = coef
-    return tuple(out)
-
-
 def restricted_root_system(xi: InductionDatum) -> RestrictedRootSystem:
     """Roots E_p +- E_q within each equal-length class, plus E_p on every
     block of a class whose strip length does not glue onto mu."""
-    r = xi.r
     gluable = {length for length, _ in xi.gluable_classes}
-    roots = []
     factors = []
     for length, ps in xi.length_classes():
         k = len(ps)
         if length not in gluable:
             factors.append(("B", k))
-            for p in ps:
-                roots.append(_vec(r, {p: 1}))
         elif k == 1:
             factors.append(("Empty", 1))
         else:
             factors.append(("D", k))
-        for i, p in enumerate(ps):
-            for q in ps[i + 1:]:
-                roots.append(_vec(r, {p: 1, q: -1}))
-                roots.append(_vec(r, {p: 1, q: 1}))
-    return RestrictedRootSystem(basis_rank=r,
-                                positive_roots=tuple(sorted(roots)),
-                                factors=tuple(factors))
-
-
-def d_value(xi: InductionDatum) -> int:
-    """Number of gluable length classes; the R-group has order 2**d_value."""
-    return len(xi.gluable_classes)
+    return RestrictedRootSystem(factors=tuple(factors))
 
 
 @dataclass(frozen=True)
@@ -421,29 +392,12 @@ class WeylSubset(Sequence):
         self._n = n
         self._ranks = ranks
 
-    @property
-    def n(self) -> int:
-        return self._n
-
     def __len__(self) -> int:
         return len(self._ranks)
 
     def __getitem__(self, k: int) -> SignedPermutation:
         from . import _wscan
         return SignedPermutation(_wscan.unrank(self._n, int(self._ranks[k])))
-
-    def __iter__(self) -> Iterator[SignedPermutation]:
-        from . import _wscan
-        for rank in self._ranks:
-            yield SignedPermutation(_wscan.unrank(self._n, int(rank)))
-
-    def __contains__(self, w) -> bool:
-        from . import _wscan
-        if not isinstance(w, SignedPermutation) or w.n != self._n:
-            return False
-        rank = _wscan.rank(w.images)
-        pos = bisect.bisect_left(self._ranks, rank)
-        return pos < len(self._ranks) and int(self._ranks[pos]) == rank
 
 
 def brute_force_W_xi_xi(xi: InductionDatum) -> WeylSubset:
@@ -460,14 +414,20 @@ def brute_force_W_xi_xi(xi: InductionDatum) -> WeylSubset:
 
 def brute_force_R(xi: InductionDatum) -> list[SignedPermutation]:
     """Stabilizer elements that additionally preserve the positive restricted
-    roots; the brute-force counterpart of r_group."""
+    roots; the brute-force counterpart of r_group.
+
+    A class carries the short root E_p unless its strip glues, and the flag
+    is read off the definition: the short-root pole order of the c-function,
+    counted factor by factor (pole_order_short_direct), vanishes. r_group
+    takes the blockwise count instead, so a wrong gluing rule there shows
+    up as a disagreement."""
     _check_bound(xi.n)
     from . import _wscan
     classes = xi.length_classes()
     offsets = xi.offsets
     class_firsts = tuple(tuple(offsets[p] for p in ps) for _, ps in classes)
-    gluable = {length for length, _ in xi.gluable_classes}
-    gluable_flags = tuple(length in gluable for length, _ in classes)
+    gluable_flags = tuple(pole_order_short_direct(length, xi.mu, xi.m) == 0
+                          for length, _ in classes)
     indices = _wscan.r_member_indices(xi.n, xi.kappa, xi._stabilizer_indices,
                                       class_firsts, gluable_flags)
     return [SignedPermutation(_wscan.unrank(xi.n, int(k))) for k in indices]

@@ -34,7 +34,6 @@ from .rgroup import (
     brute_force_R,
     brute_force_W_xi_xi,
     can_glue,
-    d_value,
     glue_strip_geometric,
     induction_data,
     r_group,
@@ -214,17 +213,19 @@ def _suite_principal(bounds: Bounds, res: SuiteResult) -> None:
         xi = InductionDatum(n, Fraction(0), kappa, ())
         rs = restricted_root_system(xi)
         repro = _repro(n, 0, kappa, ())
+        rg = r_group(xi)
         _check(res, rs.factors == (("D", n),), repro)
-        _check(res, d_value(xi) == 1, repro)
-        _check(res, r_group(xi).component_count == 2, repro)
+        _check(res, rg.d == 1, repro)
+        _check(res, rg.component_count == 2, repro)
         for m in (Fraction(1), Fraction(3, 2), Fraction(2)):
             xi = InductionDatum(n, m, kappa, ())
             repro = _repro(n, m, kappa, ())
             factors = restricted_root_system(xi).factors
+            rg = r_group(xi)
             _check(res, not any(kind == "D" and rank >= 2 for kind, rank in factors),
                    repro)
-            _check(res, d_value(xi) == 0, repro)
-            _check(res, r_group(xi).component_count == 1, repro)
+            _check(res, rg.d == 0, repro)
+            _check(res, rg.component_count == 1, repro)
 
 
 def _suite_splitting(bounds: Bounds, res: SuiteResult) -> None:
@@ -310,7 +311,7 @@ def _counting_chunk(args) -> SuiteResult:
         if intervals(full_symbol) and intervals(seed_symbol):
             quotient = component_group_order_m1(full_symbol) \
                 / component_group_order_m1(seed_symbol)
-            conds.append(quotient == 1 << d_value(xi))
+            conds.append(quotient == 1 << len(xi.gluable_classes))
     key = (n, m, kappa, mu)
     deviates = not all(conds)
     if key in KNOWN_COUNTING_DEVIATIONS:

@@ -214,7 +214,7 @@ def central_character(kappa: Partition, mu: Partition, m: Fraction) -> CentralCh
         raise ValueError(f"mu={mu} is not residual at m={mm}")
     out: list[Fraction] = []
     for p in kappa:
-        out.extend(strip(p).signed_entries)
+        out.extend(strip(p))
     for box in boxes(mu):
         out.append(content(box) + mm)
     return tuple(out)

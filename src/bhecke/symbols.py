@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .partitions import Bipartition, Partition, fmt_ratio
-from .rgroup import InductionDatum, d_value
+from .rgroup import InductionDatum
 
 __all__ = [
     "CharacterSet",
@@ -33,7 +33,6 @@ __all__ = [
     "interval_count_check",
     "intervals",
     "pieri_induct",
-    "similar",
     "similarity_class",
     "springer_correspondents",
     "symbol",
@@ -170,13 +169,6 @@ def a_m(b: Bipartition, variant: SymbolVariant) -> int:
     return _pair_min_sum(vals) - _base_pair_min(t, len(vals) - t, odd)
 
 
-def similar(b1: Bipartition, b2: Bipartition, variant: SymbolVariant) -> bool:
-    """Whether the two symbols carry the same entries with multiplicities."""
-    if b1.weight != b2.weight:
-        raise ValueError("similarity compares bipartitions of equal weight")
-    return symbol(b1, variant).entry_multiset() == symbol(b2, variant).entry_multiset()
-
-
 def _decode_member(top: tuple[int, ...], bottom: tuple[int, ...],
                    variant: SymbolVariant) -> Optional[Bipartition]:
     t = len(top)
@@ -202,10 +194,6 @@ class CharacterSet:
         weights = {b.weight for b in self.members}
         if len(weights) > 1:
             raise ValueError("members must share one total weight")
-
-    @property
-    def weight(self) -> int:
-        return next(iter(self.members)).weight
 
     def representative(self) -> Bipartition:
         return min(self.members, key=lambda b: (b.first, b.second))
@@ -355,7 +343,7 @@ def interval_count_check(xi: InductionDatum, full: CharacterSet) -> bool:
     i_full = len(intervals(symbol(full.representative(), full.variant)))
     part = xi.split_result.bipartition
     i_part = len(intervals(symbol(part, full.variant)))
-    return i_full == i_part + d_value(xi)
+    return i_full == i_part + len(xi.gluable_classes)
 
 
 def component_group_order_m1(s: Symbol) -> int:
@@ -372,4 +360,4 @@ def cardinality_check(xi: InductionDatum, full: CharacterSet) -> bool:
     springer_correspondents class."""
     part = xi.split_result.bipartition
     part_size = len(similarity_class(part, full.variant).members)
-    return len(full.members) == (1 << d_value(xi)) * part_size
+    return len(full.members) == (1 << len(xi.gluable_classes)) * part_size

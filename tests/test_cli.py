@@ -311,11 +311,15 @@ class TestSelftestCommand:
     (["selftest", "--suite", "pairs", "--bound-n", "-1"], "--bound-n"),
     (["residual", "-l", "41", "-m", "1/2"], "-l"),
     (["table", "-n", "41", "--m-list", "1"], "-n"),
+    (["split", "--lam", "2,1", "-m", "-1"], "-m"),
+    (["residual", "-l", "3", "-m", "-1"], "-m"),
+    (["table", "-n", "2", "--m-list", "0,-1"], "--m-list"),
 ], ids=["rgroup-zero-denominator", "symbols-zero-denominator",
         "residual-negative-weight", "table-rank-zero", "table-jobs-zero",
         "selftest-jobs-zero", "selftest-negative-rank-bound",
         "residual-weight-over-bound",
-        "table-rank-over-bound"])
+        "table-rank-over-bound", "split-negative-m", "residual-negative-m",
+        "table-negative-m"])
 def test_bad_input_is_a_usage_error(capsys, argv, field):
     code, out, err = run_cli(argv, capsys)
     assert code == 2

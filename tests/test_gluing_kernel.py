@@ -45,7 +45,7 @@ def _multiset(entries):
 
 @lru_cache(maxsize=None)
 def _tableau_entries(lam, m):
-    return tuple(m_tableau(lam, m).entries.values())
+    return tuple(m_tableau(lam, m).values())
 
 
 # Holds the tables of one m at a time (totals 0 to 20): each test runs one
@@ -56,14 +56,14 @@ def _by_entry_multiset(total, m):
     each group in descending lexicographic order."""
     out = defaultdict(list)
     for cand in enumerate_partitions(total):
-        out[_multiset(m_tableau(cand, m).entries.values())].append(cand)
+        out[_multiset(m_tableau(cand, m).values())].append(cand)
     return out
 
 
 def glue_by_partition_scan(mu, p, m):
     """Partitions of |mu| + p containing mu whose entry multiset is mu's
     plus the strip's absolute entries."""
-    strip_entries = tuple(abs(e) for e in strip(p).signed_entries)
+    strip_entries = tuple(abs(e) for e in strip(p))
     target = _multiset(_tableau_entries(mu, m) + strip_entries)
     return [cand for cand in _by_entry_multiset(sum(mu) + p, m).get(target, [])
             if len(cand) >= len(mu) and all(c >= u for c, u in zip(cand, mu))]
@@ -104,7 +104,7 @@ def direct_by_exponents(p, mu, m):
     interaction quotients of each strip entry (the order of a product is
     the sum over its factors, so each part is counted once and cached)."""
     return _a_part_order(p, m) + sum(_interaction_order(e, mu, m)
-                                     for e in strip(p).signed_entries)
+                                     for e in strip(p))
 
 
 def block_order_in_fractions(p, x, y):
@@ -122,11 +122,11 @@ def split_by_tableau(lam, m):
     """The splitting map on the m-tableau: block fields in selection order
     (orientation, boxes, entry_low, entry_high), or None where undefined."""
     tab = m_tableau(lam, m)
-    remaining = set(tab.entries)
+    remaining = set(tab)
     blocks = []
     while remaining:
-        top = max(tab.entries[b] for b in remaining)
-        argmax = [b for b in remaining if tab.entries[b] == top]
+        top = max(tab[b] for b in remaining)
+        argmax = [b for b in remaining if tab[b] == top]
         if len(argmax) > 1:
             return None
         b = argmax[0]
@@ -137,13 +137,13 @@ def split_by_tableau(lam, m):
         run, want = [b], top - 1
         while True:
             nxt = (run[-1][0] + step[0], run[-1][1] + step[1])
-            if nxt not in remaining or tab.entries[nxt] != want:
+            if nxt not in remaining or tab[nxt] != want:
                 break
             run.append(nxt)
             want -= 1
         run.reverse()
         remaining.difference_update(run)
-        blocks.append((orientation, tuple(run), tab.entries[run[0]], tab.entries[run[-1]]))
+        blocks.append((orientation, tuple(run), tab[run[0]], tab[run[-1]]))
     return blocks
 
 

@@ -49,21 +49,21 @@ def test_boxes_row_major():
 
 def test_m_tableau_integer_m():
     tab = m_tableau((4, 3, 2, 1, 1), Fraction(3))
-    row1 = [tab.entry((1, c)) for c in range(1, 5)]
+    row1 = [tab[(1, c)] for c in range(1, 5)]
     assert row1 == [3, 4, 5, 6]
-    assert tab.entry((4, 1)) == 0
-    assert tab.entry((5, 1)) == 1
+    assert tab[(4, 1)] == 0
+    assert tab[(5, 1)] == 1
 
 
 def test_m_tableau_half_integer_m():
     tab = m_tableau((2,), Fraction(1, 2))
-    assert tab.entry_multiset() == (Fraction(1, 2), Fraction(3, 2))
+    assert sorted(tab.values()) == [Fraction(1, 2), Fraction(3, 2)]
 
 
 @given(partitions_st, st.fractions(min_value=0, max_value=4))
 def test_m_tableau_entries_nonnegative(lam, m):
     tab = m_tableau(lam, m)
-    assert all(e >= 0 for e in tab.entries.values())
+    assert all(e >= 0 for e in tab.values())
 
 
 @given(partitions_st.filter(bool), st.integers(0, 5))
@@ -71,17 +71,16 @@ def test_m_tableau_rows_increase_by_one(lam, m):
     tab = m_tableau(lam, Fraction(m))
     for r, length in enumerate(lam, start=1):
         for c in range(1, length):
-            diff = tab.entry((r, c + 1)) - tab.entry((r, c))
+            diff = tab[(r, c + 1)] - tab[(r, c)]
             assert diff in (1, -1)
 
 
 def test_strip_entries():
-    assert strip(1).signed_entries == (0,)
-    assert strip(3).signed_entries == (-1, 0, 1)
+    assert strip(1) == (0,)
+    assert strip(3) == (-1, 0, 1)
     s4 = strip(4)
-    assert s4.signed_entries == (Fraction(-3, 2), Fraction(-1, 2),
-                                 Fraction(1, 2), Fraction(3, 2))
-    assert sorted(abs(e) for e in s4.signed_entries) == [
+    assert s4 == (Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2))
+    assert sorted(abs(e) for e in s4) == [
         Fraction(1, 2), Fraction(1, 2), Fraction(3, 2), Fraction(3, 2)]
     with pytest.raises(ValueError):
         strip(0)
@@ -89,8 +88,8 @@ def test_strip_entries():
 
 @given(st.integers(1, 30))
 def test_strip_sums_to_zero(p):
-    assert sum(strip(p).signed_entries) == 0
-    assert len(strip(p).signed_entries) == p
+    assert sum(strip(p)) == 0
+    assert len(strip(p)) == p
 
 
 def test_addable_boxes():

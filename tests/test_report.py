@@ -1,5 +1,7 @@
 """build_report: many-strip data, and each per-datum value derived once."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import pytest
 
 import bhecke
 from bhecke import _wscan, report, rgroup, selftest, splitting, symbols
-from bhecke.rgroup import InductionDatum, brute_force_W_xi_xi, r_group
+from bhecke.rgroup import InductionDatum, brute_force_W_xi_xi, induction_data, r_group
 
 WORKED = (36, 3, (11, 7, 4, 3), (4, 3, 2, 1, 1))
 ORACLE = (6, F(1, 2), (2,), (1, 1, 1, 1))
@@ -149,3 +151,20 @@ assert "numpy" in sys.modules
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# sha256 over the oracle reports of every datum with n <= 6 and m in
+# {0, 1/2, ..., 4}, each as the JSON that rgroup --json prints: a change to
+# any field of any of these 1,055 reports changes it.
+REPORTS_DIGEST = "d04b62dce274c4b94db17096c81bac2f22a7adbd0e98a973dc3566034e70e9d3"
+
+
+def test_reports_are_unchanged():
+    digest = hashlib.sha256()
+    data = [case for n in range(1, 7)
+            for case in induction_data(n, [F(k, 2) for k in range(9)])]
+    assert len(data) == 1055
+    for case in data:
+        rep = report.build_report(InductionDatum(*case), oracle=True)
+        digest.update((json.dumps(rep, indent=2, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == REPORTS_DIGEST

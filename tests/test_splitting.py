@@ -179,8 +179,8 @@ def test_central_character_concatenation():
 def test_central_character_worked_example():
     cc = central_character((11, 7, 4, 3), (4, 3, 2, 1, 1), Fraction(3))
     assert len(cc) == 36
-    assert cc[:11] == strip(11).signed_entries
-    assert cc[11:18] == strip(7).signed_entries
+    assert cc[:11] == strip(11)
+    assert cc[11:18] == strip(7)
     assert cc[25:] == (3, 4, 5, 6, 2, 3, 4, 1, 2, 0, -1)
 
 
