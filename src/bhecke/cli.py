@@ -46,6 +46,7 @@ from .symbols import (
     MINUS_ZERO,
     PLUS_ZERO,
     a_m,
+    check_symbol_bound,
     intervals,
     similarity_class,
     symbol,
@@ -194,6 +195,7 @@ def _print_report(rep: dict) -> None:
 def cmd_rgroup(args) -> int:
     try:
         xi = InductionDatum(args.n, args.m, args.kappa, args.mu)
+        check_symbol_bound(xi.m, xi.n)
         if args.oracle:
             _check_bound(xi.n)
     except ValueError as exc:
@@ -232,6 +234,11 @@ def _symbol_docs(bp: Bipartition, m: Fraction) -> list:
 
 
 def cmd_residual(args) -> int:
+    try:
+        check_symbol_bound(args.m, args.l)
+    except ValueError as exc:
+        sys.stderr.write(f"bhecke residual: {exc}\n")
+        return 2
     found = residual_partitions(args.l, args.m)
     docs = []
     for lam in found:
@@ -280,6 +287,11 @@ def cmd_split(args) -> int:
 def cmd_symbols(args) -> int:
     bp = Bipartition(args.first, args.second)
     variant = args.m
+    try:
+        check_symbol_bound(variant.m, max(len(bp.first), len(bp.second)))
+    except ValueError as exc:
+        sys.stderr.write(f"bhecke symbols: {exc}\n")
+        return 2
     s = symbol(bp, variant)
     a = a_m(bp, variant)
     ivs = intervals(s)
@@ -343,6 +355,12 @@ def _csv_cell(value) -> str:
 
 
 def cmd_table(args) -> int:
+    try:
+        for m in args.m_list:
+            check_symbol_bound(m, args.n)
+    except ValueError as exc:
+        sys.stderr.write(f"bhecke table: {exc}\n")
+        return 2
     cases = induction_data(args.n, args.m_list)
     rows = map_jobs(_table_row, cases, args.jobs)
     if args.json:

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .partitions import Bipartition, Partition, fmt_ratio
 from .rgroup import InductionDatum
@@ -25,10 +25,12 @@ __all__ = [
     "CharacterSet",
     "MINUS_ZERO",
     "PLUS_ZERO",
+    "SYMBOL_ROW_BOUND",
     "Symbol",
     "SymbolVariant",
     "a_m",
     "cardinality_check",
+    "check_symbol_bound",
     "component_group_order_m1",
     "interval_count_check",
     "intervals",
@@ -103,6 +105,11 @@ class Symbol:
         return tuple(sorted(self.top + self.bottom))
 
 
+# Most entries the two rows of one symbol may hold. Rows are padded to a
+# length of about |m|; 2^16 is well above m = 20000.
+SYMBOL_ROW_BOUND = 1 << 16
+
+
 def _padded_lengths(variant: SymbolVariant, len_xi: int, len_eta: int) -> tuple[int, int]:
     """Row lengths (top, bottom) after the least zero padding that gives the
     variant's offset top - bottom: m for whole m, and m rounded away from
@@ -156,6 +163,12 @@ def _base_pair_min(t: int, bb: int, odd: int) -> int:
     return _pair_min_sum(_base(t, bb, odd))
 
 
+def _a_value(vals: list[int], t: int, variant: SymbolVariant) -> int:
+    """a_m of the entry list vals with a top row of length t; sorts vals."""
+    odd = variant.m.denominator - 1
+    return _pair_min_sum(vals) - _base_pair_min(t, len(vals) - t, odd)
+
+
 def a_m(b: Bipartition, variant: SymbolVariant) -> int:
     """Sum of min(x, y) over unordered pairs of symbol entry positions,
     normalized by the all-zeros symbol of the same padded shape.
@@ -164,9 +177,23 @@ def a_m(b: Bipartition, variant: SymbolVariant) -> int:
     the pair-min sum of the sorted entries v_0 <= ... <= v_(N-1) is
     sum v_k (N - 1 - k), and the all-zeros term depends only on the row
     lengths and the parity of the bottom base."""
-    vals, t = _rows(b, variant)
-    odd = variant.m.denominator - 1
-    return _pair_min_sum(vals) - _base_pair_min(t, len(vals) - t, odd)
+    return _a_value(*_rows(b, variant), variant)
+
+
+def check_symbol_bound(m: Fraction, parts: int) -> None:
+    """Refuse the symbols at m of bipartitions with up to `parts` parts in
+    each component when their rows would hold more than SYMBOL_ROW_BOUND
+    entries in all. Rows are padded to a length of about |m|, so a huge m
+    is refused here, before any row is built. m off the half-integers has
+    no symbols and passes."""
+    mm = Fraction(m)
+    if mm.denominator > 2:
+        return
+    length = sum(_padded_lengths(variants_for_m(mm)[0], parts, parts))
+    if length > SYMBOL_ROW_BOUND:
+        raise ValueError(
+            f"symbol rows at m={fmt_ratio(mm)} would hold up to {length} "
+            f"entries, above the bound {SYMBOL_ROW_BOUND}")
 
 
 def _decode_member(top: tuple[int, ...], bottom: tuple[int, ...],
@@ -253,29 +280,48 @@ def similarity_class(b: Bipartition, variant: SymbolVariant) -> CharacterSet:
             cand = _decode_member(tuple(sorted(top)), tuple(sorted(bottom)), variant)
             if cand is not None:
                 members.add(cand)
-    return CharacterSet(frozenset(members), variant, a_m(b, variant))
+    return CharacterSet(frozenset(members), variant, _a_value(vals, t, variant))
 
 
-def _horizontal_strip_additions(lam: Partition, k: int) -> list[Partition]:
-    """Partitions containing lam with k more boxes, at most one per column."""
-    rows = len(lam)
-    out = []
+def _lay(parts: Partition, length: int, base: int) -> tuple[int, ...]:
+    """A row of `length` entries: the parts, zero-padded in front and
+    increasing, laid on base, base + 2, base + 4, ..."""
+    padded = (0,) * (length - len(parts)) + parts[::-1]
+    return tuple(x + base + 2 * i for i, x in enumerate(padded))
 
-    def rec(i: int, remaining: int, acc: tuple[int, ...]):
-        if i == rows + 1:
-            # one optional new final row, capped by the old last row
-            cap = lam[rows - 1] if rows else remaining
-            if remaining <= cap:
-                final = acc + ((remaining,) if remaining else ())
-                out.append(final)
+
+def _unlay(row: tuple[int, ...], base: int) -> Partition:
+    """The partition that _lay put on base."""
+    parts = [e - base - 2 * i for i, e in enumerate(row)]
+    return tuple(x for x in reversed(parts) if x)
+
+
+def _strips(row: tuple[int, ...], most: int) -> list[list[tuple[int, ...]]]:
+    """The rows reached by adding a horizontal strip of at most `most` boxes
+    to the partition laid on row, listed by strip size. New parts interlace
+    the old ones, so entry j rises by at most row[j + 1] - 2 - row[j] and
+    the last entry freely; a strip opens a new part only where row starts
+    with a zero part. The recursion visits only the entries that can rise,
+    so its depth is at most the number of distinct parts plus one."""
+    last = len(row) - 1
+    movable = [(j, row[j + 1] - 2 - row[j]) for j in range(last)
+               if row[j + 1] - 2 > row[j]]
+    by_size: list[list[tuple[int, ...]]] = [[] for _ in range(most + 1)]
+    new = list(row)
+
+    def rec(i: int, used: int):
+        if i == len(movable):
+            for k in range(used, most + 1):
+                new[last] = row[last] + k - used
+                by_size[k].append(tuple(new))
             return
-        lo = lam[i - 1]
-        hi = lo + remaining if i == 1 else min(lam[i - 2], lo + remaining)
-        for c in range(lo, hi + 1):
-            rec(i + 1, remaining - (c - lo), acc + (c,))
+        j, cap = movable[i]
+        for c in range(min(cap, most - used) + 1):
+            new[j] = row[j] + c
+            rec(i + 1, used + c)
 
-    rec(1, k, ())
-    return out
+    rec(0, 0)
+    return by_size
 
 
 def pieri_induct(p: int, b: Bipartition) -> list[Bipartition]:
@@ -283,12 +329,68 @@ def pieri_induct(p: int, b: Bipartition) -> list[Bipartition]:
     horizontal strips of total size p across the two components."""
     if p < 1:
         raise ValueError("p must be >= 1")
+    tops = _strips(_lay(b.first, len(b.first) + 1, 0), p)
+    bottoms = _strips(_lay(b.second, len(b.second) + 1, 0), p)
     out = []
     for a in range(p + 1):
-        betas = _horizontal_strip_additions(b.second, p - a)
-        for alpha in _horizontal_strip_additions(b.first, a):
+        betas = [_unlay(row, 0) for row in bottoms[p - a]]
+        for row in tops[a]:
+            alpha = _unlay(row, 0)
             out.extend(Bipartition(alpha, beta) for beta in betas)
     return sorted(out, key=lambda c: (c.first, c.second))
+
+
+def _prefix_mins(count: int, start: int, size: int) -> list[int]:
+    """[sum(min(x, y) for x in P) for y in range(size)], P being the count
+    entries start, start + 2, ...: the sum grows by #{x in P : x >= y}
+    from y - 1 to y."""
+    return list(itertools.accumulate(
+        (count - min(count, max(0, (y - start + 1) // 2)) for y in range(1, size)),
+        initial=0))
+
+
+def _best_constituents(p: int, members: Collection[Bipartition],
+                       variant: SymbolVariant) -> set[Bipartition]:
+    """The a_m-maximal Pieri constituents of a p-strip over the members,
+    scored on integer rows of one shared shape (see truncated_induct)."""
+    odd = variant.m.denominator - 1
+    lf = 1 + max(len(b.first) for b in members)
+    ls = 1 + max(len(b.second) for b in members)
+    t, bb = _padded_lengths(variant, lf, ls)
+    # Only the last lf top and ls bottom entries can move. Below them the
+    # rows hold zero parts; drop those both rows share, which leaves z on
+    # top (z > 0) or -z at the bottom (z < 0).
+    z = (t - lf) - (bb - ls)
+    top_base, bottom_base = 2 * max(z, 0), 2 * max(-z, 0) + odd
+    laid = [(_lay(b.first, lf, top_base), _lay(b.second, ls, bottom_base))
+            for b in members]
+    # Those |z| fixed entries lie below every entry of their own row, and
+    # meet each entry y of the other row in near[y] = sum of min(x, y).
+    far = 0 if z < 0 else 1
+    near = _prefix_mins(abs(z), 0 if z > 0 else odd,
+                        max(rows[far][-1] for rows in laid) + p + 1) if z else None
+
+    def weighed(row: tuple[int, ...], side: int) -> list[list[tuple]]:
+        """The strips of row by size, each with its sum over near."""
+        if near is None or side != far:
+            return [[(r, 0) for r in rows] for rows in _strips(row, p)]
+        return [[(r, sum(map(near.__getitem__, r))) for r in rows]
+                for rows in _strips(row, p)]
+
+    desc = range(lf + ls - 1, -1, -1)
+    best, winners = -1, set()
+    for top, bottom in laid:
+        tops, bottoms = weighed(top, 0), weighed(bottom, 1)
+        for a in range(p + 1):
+            for t_row, t_near in tops[a]:
+                for b_row, b_near in bottoms[p - a]:
+                    score = t_near + b_near + sum(map(operator.mul, sorted(t_row + b_row), desc))
+                    if score > best:
+                        best, winners = score, {(t_row, b_row)}
+                    elif score == best:
+                        winners.add((t_row, b_row))
+    return {Bipartition(_unlay(t_row, top_base), _unlay(b_row, bottom_base))
+            for t_row, b_row in winners}
 
 
 def truncated_induct(parts: Iterable[int], seed: CharacterSet) -> CharacterSet:
@@ -296,30 +398,39 @@ def truncated_induct(parts: Iterable[int], seed: CharacterSet) -> CharacterSet:
     induce each member with the Pieri rule, keep the a_m-maximal
     constituents, and close the final set under similarity. Parts are
     processed in decreasing order; transitivity makes the result
-    independent of that choice."""
+    independent of that choice.
+
+    Each step scores integer symbol rows and builds a Bipartition only for
+    the winners. Lemma: one more zero part in both rows leaves a_m
+    unchanged, because it adds 2 * C(N, 2) + odd * N to the pair-min sum
+    of the N entries and of the all-zeros symbol alike. So every member
+    and constituent of a step can be laid on one shape, the variant's
+    padding of 1 + the longest first and second components (a strip adds
+    at most one part to each), where a_m is the raw pair-min sum less one
+    constant that cancels in the max. A strip moves only the entries from
+    the last zero part up; the zero parts below contribute in closed form
+    (_prefix_mins), so a candidate costs a sort of about 2n entries
+    however long the padding."""
     if not seed.members:
         raise ValueError("seed must be nonempty")
     variant = seed.variant
-    current = set(seed.members)
+    current = seed.members
     for p in sorted(parts, reverse=True):
-        candidates = set()
-        for b in current:
-            candidates.update(pieri_induct(p, b))
-        scored = [(a_m(c, variant), c) for c in candidates]
-        best = max(s for s, _ in scored)
-        current = {c for s, c in scored if s == best}
-    closure = set()
+        current = _best_constituents(p, current, variant)
+    closure: set[Bipartition] = set()
     for b in current:
         if b not in closure:
-            closure.update(similarity_class(b, variant).members)
-    rep = next(iter(closure))
-    return CharacterSet(frozenset(closure), variant, a_m(rep, variant))
+            cls = similarity_class(b, variant)
+            closure.update(cls.members)
+    return CharacterSet(frozenset(closure), variant, cls.a_value)
 
 
 def springer_correspondents(xi: InductionDatum) -> CharacterSet:
     """Truncated induction of the similarity class of the split of mu along
     kappa, under the first variant of xi.m (+0 at m = 0; the -0 rows are
-    the same, and the tests compare the two inductions)."""
+    the same, and the tests compare the two inductions). Refuses an m whose
+    rows would exceed SYMBOL_ROW_BOUND before building any."""
+    check_symbol_bound(xi.m, xi.n)
     seed = similarity_class(xi.split_result.bipartition, variants_for_m(xi.m)[0])
     return truncated_induct(xi.kappa, seed) if xi.kappa else seed
 

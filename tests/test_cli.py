@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -349,6 +350,28 @@ def test_selftest_refuses_before_running(capsys, argv, message):
     assert "Traceback" not in err
     assert err.splitlines()[-1] == message
     assert not any(line.startswith("bhecke") for line in err.splitlines()[:-1])
+
+
+@pytest.mark.parametrize("command, argv, length", [
+    ("rgroup", ["rgroup", "-n", "3", "-m", "100000000", "--kappa", "2", "--mu", "1"],
+     100000006),
+    ("rgroup", ["rgroup", "-n", "3", "-m", "100000000", "--kappa", "2", "--mu", "1",
+                "--oracle"], 100000006),
+    ("symbols", ["symbols", "--first", "1", "--second", "1", "-m", "100000000"],
+     100000002),
+    ("residual", ["residual", "-l", "3", "-m", "100000000"], 100000006),
+    ("table", ["table", "-n", "2", "--m-list", "0,100000000"], 100000004),
+], ids=["rgroup", "rgroup-oracle", "symbols", "residual", "table"])
+def test_huge_m_is_refused_before_any_row(capsys, command, argv, length):
+    # Symbol rows are padded to a length of about m; the bound is checked
+    # before any is built, so the refusal is immediate.
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (f"bhecke {command}: symbol rows at m=100000000 would hold up "
+                   f"to {length} entries, above the bound 65536\n")
 
 
 def test_rgroup_suite_refuses_before_checking(monkeypatch):

@@ -1,5 +1,6 @@
 """Symbols, similarity classes, a_m, and truncated induction."""
 
+import itertools
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -14,6 +15,7 @@ from bhecke.splitting import split
 from bhecke.symbols import (
     MINUS_ZERO,
     PLUS_ZERO,
+    CharacterSet,
     SymbolVariant,
     a_m,
     cardinality_check,
@@ -81,6 +83,8 @@ def reference_a_m(b, variant):
 # m in {-2, -3/2, -1/2, 0, 1/2, ..., 4}, both zero variants at m = 0
 REFERENCE_VARIANTS = [v for m2 in [-4, -3, -1] + list(range(9))
                       for v in variants_for_m(F(m2, 2))]
+# the same and m = -1
+LEMMA_VARIANTS = REFERENCE_VARIANTS + list(variants_for_m(-1))
 
 
 def worked_datum():
@@ -175,16 +179,18 @@ class TestAm:
                         (b, v.label)
                     assert a_m(b, v) == reference_a_m(b, v), (b, v.label)
 
-    def test_invariant_under_one_more_zero(self):
-        # padding both rows with one more zero shifts every entry by 2 and
-        # puts 0 (1 for half m) in front; the normalization cancels it
-        for w in range(8):
+    @pytest.mark.parametrize("k", range(4))
+    def test_invariant_under_extra_zero_parts(self, k):
+        # the lemma truncated_induct scores on: k more zero parts in both
+        # rows shift every entry by 2k and put 0, 2, ... (1, 3, ... at the
+        # bottom for half m) in front; the normalization cancels them
+        for w in range(9):
             for b in bipartitions(w):
-                for v in REFERENCE_VARIANTS:
+                for v in LEMMA_VARIANTS:
                     odd = 1 if v.kind == "half" else 0
                     s = symbol(b, v)
-                    top = [0] + [x + 2 for x in s.top]
-                    bottom = [odd] + [x + 2 for x in s.bottom]
+                    top = list(range(0, 2 * k, 2)) + [x + 2 * k for x in s.top]
+                    bottom = list(range(odd, 2 * k + odd, 2)) + [x + 2 * k for x in s.bottom]
                     assert normalized_pair_min(top, bottom, odd) == a_m(b, v), (b, v.label)
 
     def test_constant_across_similarity(self):
@@ -269,18 +275,18 @@ class TestPieri:
 
     @pytest.mark.parametrize("p", [1, 3, 6])
     def test_strips_computed_once_per_split(self, monkeypatch, p):
-        # one list of first-row strips and one of second-row strips for
-        # each way a of dividing p
+        # one list of first-row strips and one of second-row strips, each
+        # holding every strip size from 0 to p, serve all ways of dividing p
         calls = []
-        original = symbols._horizontal_strip_additions
+        original = symbols._strips
 
-        def counted(lam, k):
-            calls.append((lam, k))
-            return original(lam, k)
+        def counted(row, most):
+            calls.append((row, most))
+            return original(row, most)
 
-        monkeypatch.setattr(symbols, "_horizontal_strip_additions", counted)
+        monkeypatch.setattr(symbols, "_strips", counted)
         pieri_induct(p, Bipartition((3, 2, 2), (4, 1)))
-        assert len(calls) <= 2 * (p + 1)
+        assert len(calls) == 2
 
     def test_rank_one_seed_count(self):
         got = pieri_induct(2, Bipartition((1,), ()))
@@ -315,7 +321,66 @@ class TestPieri:
                 assert all(new[i + 1] <= padded[i] for i in range(len(new) - 1))
 
 
+def reference_truncated_induct(parts, seed):
+    """The fold on Bipartitions: every Pieri constituent of each member,
+    the a_m-maximal ones kept, and the last set closed under similarity."""
+    variant = seed.variant
+    current = set(seed.members)
+    for p in sorted(parts, reverse=True):
+        candidates = set()
+        for b in current:
+            candidates.update(pieri_induct(p, b))
+        scored = [(a_m(c, variant), c) for c in candidates]
+        best = max(s for s, _ in scored)
+        current = {c for s, c in scored if s == best}
+    closure = set()
+    for b in current:
+        closure.update(similarity_class(b, variant).members)
+    return closure, a_m(next(iter(closure)), variant)
+
+
 class TestTruncatedInduction:
+    def test_matches_the_bipartition_fold(self):
+        # all 3,150 data of rank <= 8 at m in {0, 1/2, ..., 4}, the 290 at
+        # m = 0 under both zero variants
+        checked = 0
+        for n in range(1, 9):
+            for case in induction_data(n, [F(k, 2) for k in range(9)]):
+                xi = InductionDatum(*case)
+                for variant in variants_for_m(xi.m):
+                    seed = similarity_class(xi.split_result.bipartition, variant)
+                    got = truncated_induct(xi.kappa, seed)
+                    assert (set(got.members), got.a_value) == \
+                        reference_truncated_induct(xi.kappa, seed), (case, variant.label)
+                    checked += 1
+        assert checked == 3150 + 290
+
+    def test_matches_the_bipartition_fold_on_any_seed(self):
+        # a seed of two members of one weight that are not similar; with
+        # their longest rows on one shape, the zero parts of one row meet
+        # the other row's entries, and scoring without that term picks
+        # other winners on 55 of these 3,525 seeds
+        variants = LEMMA_VARIANTS + list(variants_for_m(F(41, 2)))
+        for w in (3, 4):
+            for pair in itertools.combinations(bipartitions(w), 2):
+                for variant in variants:
+                    seed = CharacterSet(frozenset(pair), variant, 0)
+                    got = truncated_induct((2,), seed)
+                    assert (set(got.members), got.a_value) == \
+                        reference_truncated_induct((2,), seed), (pair, variant.label)
+
+    @pytest.mark.parametrize("m", [F(41, 2), F(200), F(20000)])
+    @pytest.mark.parametrize("n,kappa,mu", [
+        (3, (2,), (1,)),
+        (6, (2, 1), (2, 1)),
+        (8, (3, 1), (2, 1, 1)),
+        (7, (1, 1, 1), (2, 2)),
+    ])
+    def test_matches_the_bipartition_fold_at_large_m(self, n, m, kappa, mu):
+        seed = similarity_class(split(mu, m).bipartition, variants_for_m(m)[0])
+        got = truncated_induct(kappa, seed)
+        assert (set(got.members), got.a_value) == reference_truncated_induct(kappa, seed)
+
     def test_worked_example_class(self):
         xi = worked_datum()
         cls = springer_correspondents(xi)
@@ -376,6 +441,21 @@ class TestTruncatedInduction:
             seed = similarity_class(xi.split_result.bipartition, MINUS_ZERO)
             minus = truncated_induct(xi.kappa, seed) if xi.kappa else seed
             assert (minus.members, minus.a_value) == (cls.members, cls.a_value)
+
+
+class TestRowBound:
+    def test_bound_is_on_the_padded_length(self):
+        # rows of up to n parts at whole m >= 0 hold at most 2n + m entries
+        n = 36
+        symbols.check_symbol_bound(F(symbols.SYMBOL_ROW_BOUND - 2 * n), n)
+        with pytest.raises(ValueError, match="above the bound 65536"):
+            symbols.check_symbol_bound(F(symbols.SYMBOL_ROW_BOUND - 2 * n + 1), n)
+        symbols.check_symbol_bound(F(10 ** 9, 3), n)  # no symbols, no rows
+
+    def test_springer_refuses_before_any_row(self, monkeypatch):
+        monkeypatch.setattr(symbols, "_rows", None)
+        with pytest.raises(ValueError, match="up to 100000006 entries"):
+            springer_correspondents(InductionDatum(3, 10 ** 8, (2,), (1,)))
 
 
 class TestIntervals:
