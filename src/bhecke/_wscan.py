@@ -99,7 +99,13 @@ def w_survivor_indices(n: int, kappa: tuple[int, ...], l: int,
     tail). gamma2 is the central character scaled to integers; the scan
     runs in int16 while the difference of two entries fits, else in int64.
     Returns None when the parabolic root system is empty, meaning the whole
-    group survives vacuously."""
+    group survives vacuously.
+
+    The character condition has never pruned a survivor of the simple-root
+    condition (tests/test_wscan.py pins that for n <= 6): every block of one
+    length carries the same centred strip character, so a w permuting those
+    blocks, each reversed with sign or not, maps it onto itself, and w
+    fixes the tail pointwise. It stays as part of the definition."""
     surv = pi_survivors(n, *pi_structure(kappa, l, n))
     if surv is None:
         return None

@@ -26,8 +26,10 @@ from typing import Optional, Sequence
 
 from .partitions import (
     ENUMERATION_BOUND,
+    RANK_BOUND,
     Bipartition,
     check_enumeration_bound,
+    check_rank_bound,
     fmt_ratio,
     parse_partition,
     parse_ratio,
@@ -87,14 +89,20 @@ def _at_least(minimum: int):
     return _arg(lambda text: _int_at_least(text, minimum))
 
 
-def _enumerable(minimum: int):
-    """An argparse type for an integer >= minimum whose partitions the
-    command may enumerate: at most the partition enumeration bound."""
-    def enumerable(text: str) -> int:
+def _bounded(minimum: int, check):
+    """An argparse type for an integer >= minimum that check accepts."""
+    def bounded(text: str) -> int:
         value = _int_at_least(text, minimum)
-        check_enumeration_bound(value)
+        check(value)
         return value
-    return _arg(enumerable)
+    return _arg(bounded)
+
+
+def _splittable(text: str):
+    """A partition whose weight is at most the rank bound."""
+    lam = parse_partition(text)
+    check_rank_bound(sum(lam))
+    return lam
 
 
 def _parameter(text: str) -> Fraction:
@@ -366,17 +374,8 @@ def cmd_table(args) -> int:
     if args.json:
         _json_out({"schemaVersion": SCHEMA_VERSION, "rows": rows})
         return 0
-    flat = [
-        [
-            _csv_cell(r["n"]), r["m"], _csv_cell(r["kappa"]), _csv_cell(r["mu"]),
-            _csv_cell(r["d"]), _csv_cell(r["components"]), _csv_cell(r["gluable"]),
-            _csv_cell(r["classSize"]), _csv_cell(r["aValue"]),
-            _csv_cell(r["checks"]["residual"]), _csv_cell(r["checks"]["blockwise"]),
-            _csv_cell(r["checks"]["cardinality"]),
-            _csv_cell(r["checks"]["intervalCount"]),
-        ]
-        for r in rows
-    ]
+    flat = [[_csv_cell(cells[name]) for name in _TABLE_COLUMNS]
+            for cells in ({**r, **r["checks"]} for r in rows)]
     if args.csv:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(_TABLE_COLUMNS)
@@ -434,7 +433,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "(n, m, kappa, mu): residual diagnostics, splitting, "
                     "pole orders, the component group with labels, the "
                     "symbol class, and consistency checks.")
-    p.add_argument("-n", type=int, required=True, help="rank; must equal |kappa| + |mu|")
+    p.add_argument("-n", type=_bounded(1, check_rank_bound), required=True,
+                   help="rank (1 to %d); must equal |kappa| + |mu|" % RANK_BOUND)
     p.add_argument("-m", type=_arg(parse_ratio), required=True,
                    help="parameter ratio as an exact fraction, e.g. 3 or 1/2")
     p.add_argument("--kappa", type=_arg(parse_partition), default=(),
@@ -454,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="residual partitions of a weight at a parameter",
         description="List every partition of the given weight that is a "
                     "residual point at m, with its split and symbol rows.")
-    p.add_argument("-l", type=_enumerable(0), required=True,
+    p.add_argument("-l", type=_bounded(0, check_enumeration_bound), required=True,
                    help="weight to enumerate (0 to %d)" % ENUMERATION_BOUND)
     p.add_argument("-m", type=_arg(_parameter), required=True,
                    help="exact fraction >= 0")
@@ -466,8 +466,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="splitting map on one partition",
         description="Apply the splitting map to one partition; reports the "
                     "peeled blocks or that the partition is not residual.")
-    p.add_argument("--lam", type=_arg(parse_partition), required=True,
-                   help="partition, comma-separated parts")
+    p.add_argument("--lam", type=_arg(_splittable), required=True,
+                   help="partition of weight at most %d, comma-separated parts"
+                        % RANK_BOUND)
     p.add_argument("-m", type=_arg(_parameter), required=True,
                    help="exact fraction >= 0")
     p.add_argument("--json", action="store_true", help="emit JSON")
@@ -497,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "are comma-joined part lists; classSize and aValue are "
                     "empty when m is neither integer nor half-integer; "
                     "check columns hold pass/fail (empty when undefined).")
-    p.add_argument("-n", type=_enumerable(1), required=True,
+    p.add_argument("-n", type=_bounded(1, check_enumeration_bound), required=True,
                    help="rank to sweep (1 to %d)" % ENUMERATION_BOUND)
     p.add_argument("--m-list", type=_arg(_ratio_list), default=_ratio_list("0,1/2,1,3/2,2"),
                    help="comma-separated exact fractions >= 0 (default 0,1/2,1,3/2,2)")
@@ -517,7 +518,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "above %d before any suite runs." % BRUTE_FORCE_BOUND)
     p.add_argument("--suite", action="append", choices=SUITE_NAMES,
                    help="run only this suite (repeatable)")
-    p.add_argument("--bound-n", type=_enumerable(0), default=Bounds().bound_n,
+    p.add_argument("--bound-n", type=_bounded(0, check_enumeration_bound),
+                   default=Bounds().bound_n,
                    help="rank bound for the sweep suites (default %(default)s)")
     p.add_argument("--jobs", type=_at_least(1), default=1,
                    help="worker processes (at most the CPU count)")

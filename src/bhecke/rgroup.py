@@ -403,7 +403,13 @@ class WeylSubset(Sequence):
 def brute_force_W_xi_xi(xi: InductionDatum) -> WeylSubset:
     """Elements of W(B_n) stabilizing the parabolic simple roots setwise and
     fixing the projection of the central character onto their span. Direct
-    enumeration; refused above rank BRUTE_FORCE_BOUND."""
+    enumeration; refused above rank BRUTE_FORCE_BOUND.
+
+    The character condition removes nothing the simple-root condition keeps
+    (see _wscan.w_survivor_indices), so the order is the product of
+    2^k * k! over the length classes of k blocks each. The report's
+    oracleStabilizerOrder check compares that with weyl_order * 2^d, and
+    the gluing does not enter it: a class is B_k, or D_k times 2."""
     _check_bound(xi.n)
     from . import _wscan
     ranks = xi._stabilizer_indices

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .partitions import (
+    RANK_BOUND,
     Bipartition,
     BoxCoord,
     Partition,
@@ -230,6 +231,8 @@ def datum_error(n: int, m: Fraction, kappa: Partition, mu: Partition) -> Optiona
         return f"m={fmt_ratio(mm)} is negative"
     if not isinstance(n, int) or n < 1:
         return f"n={n!r} is not a positive integer"
+    if n > RANK_BOUND:
+        return f"n={n} is above the rank bound {RANK_BOUND}"
     if not is_partition(kappa):
         return f"kappa={kappa!r} is not a partition (weakly decreasing positive parts)"
     if not is_partition(mu):

@@ -6,6 +6,10 @@ pairwise-min statistic a_m drives truncated induction: induce with the Pieri
 rule, keep the a_m-maximal constituents, and close under similarity. Interval
 counts of the resulting symbols encode component groups, which is where the
 reducibility count 2^d resurfaces independently of the root-system picture.
+
+Every row, here and in truncated induction, is one integer tuple laid by
+_lay (the parts increasing on base, base + 2, ...; base 1 only at the bottom
+for half m) and read back by _unlay.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Collection, Iterable, Optional
 
 from .partitions import Bipartition, Partition, fmt_ratio
@@ -101,9 +104,6 @@ class Symbol:
     top: tuple[int, ...]
     bottom: tuple[int, ...]
 
-    def entry_multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(self.top + self.bottom))
-
 
 # Most entries the two rows of one symbol may hold. Rows are padded to a
 # length of about |m|; 2^16 is well above m = 20000.
@@ -123,23 +123,27 @@ def _padded_lengths(variant: SymbolVariant, len_xi: int, len_eta: int) -> tuple[
     return b + num, b
 
 
-def _base(t: int, bb: int, odd: int) -> list[int]:
-    """Entries of the all-zeros symbol with rows of lengths t and bb."""
-    return [*range(0, 2 * t, 2), *range(odd, 2 * bb + odd, 2)]
+def _lay(parts: Partition, length: int, base: int) -> tuple[int, ...]:
+    """A row of `length` entries: the parts, zero-padded in front and
+    increasing, laid on base, base + 2, base + 4, ..."""
+    padded = (0,) * (length - len(parts)) + parts[::-1]
+    return tuple(map(operator.add, padded, range(base, base + 2 * length, 2)))
 
 
-def _rows(b: Bipartition, variant: SymbolVariant) -> tuple[list[int], int]:
-    """The symbol's entries, top row then bottom row in one list, and the
-    top-row length: the parts laid increasing onto the base 0, 2, 4, ...,
-    the bottom base being 1, 3, 5, ... for half m."""
-    first, second = b.first, b.second
-    t, bb = _padded_lengths(variant, len(first), len(second))
-    vals = _base(t, bb, variant.m.denominator - 1)
-    for i, x in enumerate(sorted(first, reverse=True), 1):
-        vals[t - i] += x
-    for i, x in enumerate(sorted(second, reverse=True), 1):
-        vals[t + bb - i] += x
-    return vals, t
+def _unlay(row: tuple[int, ...], base: int) -> Optional[Partition]:
+    """The partition that _lay put on base, or None when row holds none:
+    a part read off it is negative or smaller than the one before."""
+    parts = list(map(operator.sub, row, range(base, base + 2 * len(row), 2)))
+    if min(parts, default=0) < 0 or any(map(operator.gt, parts, parts[1:])):
+        return None
+    return tuple(x for x in reversed(parts) if x)
+
+
+def _rows(b: Bipartition, variant: SymbolVariant) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The symbol's top and bottom rows: the parts laid increasing onto
+    the base 0, 2, 4, ..., the bottom base being 1, 3, 5, ... for half m."""
+    t, bb = _padded_lengths(variant, len(b.first), len(b.second))
+    return _lay(b.first, t, 0), _lay(b.second, bb, variant.m.denominator - 1)
 
 
 def symbol(b: Bipartition, variant: SymbolVariant) -> Symbol:
@@ -147,37 +151,26 @@ def symbol(b: Bipartition, variant: SymbolVariant) -> Symbol:
     zeros to the variant's row-length offset (minimally, so a first part
     stays nonzero whenever possible), top entries shifted by 0,2,4,... and
     bottom entries by the same for whole m or by 1,3,5,... for half m."""
-    vals, t = _rows(b, variant)
-    return Symbol(variant=variant, top=tuple(vals[:t]), bottom=tuple(vals[t:]))
+    top, bottom = _rows(b, variant)
+    return Symbol(variant=variant, top=top, bottom=bottom)
 
 
-def _pair_min_sum(values: list[int]) -> int:
-    """Sum of min(x, y) over unordered pairs of positions; sorts values."""
-    values.sort()
+def _pair_min_sum(values: Iterable[int]) -> int:
+    """Sum of min(x, y) over unordered pairs of positions."""
+    values = sorted(values)
     return sum(map(operator.mul, values, range(len(values) - 1, -1, -1)))
-
-
-@lru_cache(maxsize=None)
-def _base_pair_min(t: int, bb: int, odd: int) -> int:
-    """The pair-min sum of the all-zeros symbol, one per row shape."""
-    return _pair_min_sum(_base(t, bb, odd))
-
-
-def _a_value(vals: list[int], t: int, variant: SymbolVariant) -> int:
-    """a_m of the entry list vals with a top row of length t; sorts vals."""
-    odd = variant.m.denominator - 1
-    return _pair_min_sum(vals) - _base_pair_min(t, len(vals) - t, odd)
 
 
 def a_m(b: Bipartition, variant: SymbolVariant) -> int:
     """Sum of min(x, y) over unordered pairs of symbol entry positions,
     normalized by the all-zeros symbol of the same padded shape.
 
-    Runs on the integer entry list of the symbol, with no Symbol built:
-    the pair-min sum of the sorted entries v_0 <= ... <= v_(N-1) is
-    sum v_k (N - 1 - k), and the all-zeros term depends only on the row
-    lengths and the parity of the bottom base."""
-    return _a_value(*_rows(b, variant), variant)
+    Runs on the integer rows of the symbol, with no Symbol built: the
+    pair-min sum of the sorted entries v_0 <= ... <= v_(N-1) is
+    sum v_k (N - 1 - k)."""
+    top, bottom = _rows(b, variant)
+    zeros = _lay((), len(top), 0) + _lay((), len(bottom), variant.m.denominator - 1)
+    return _pair_min_sum(top + bottom) - _pair_min_sum(zeros)
 
 
 def check_symbol_bound(m: Fraction, parts: int) -> None:
@@ -194,19 +187,6 @@ def check_symbol_bound(m: Fraction, parts: int) -> None:
         raise ValueError(
             f"symbol rows at m={fmt_ratio(mm)} would hold up to {length} "
             f"entries, above the bound {SYMBOL_ROW_BOUND}")
-
-
-def _decode_member(top: tuple[int, ...], bottom: tuple[int, ...],
-                   variant: SymbolVariant) -> Optional[Bipartition]:
-    t = len(top)
-    base = _base(t, len(bottom), variant.m.denominator - 1)
-    parts = [v - z for v, z in zip(top + bottom, base)]
-    xi, eta = parts[:t], parts[t:]
-    for row in (xi, eta):
-        if any(v < 0 for v in row) or any(a > b for a, b in zip(row, row[1:])):
-            return None
-    return Bipartition(tuple(sorted((v for v in xi if v), reverse=True)),
-                       tuple(sorted((v for v in eta if v), reverse=True)))
 
 
 @dataclass(frozen=True)
@@ -249,9 +229,9 @@ def similarity_class(b: Bipartition, variant: SymbolVariant) -> CharacterSet:
     its extra entry in the row it starts in, and the variant's top-row
     length fixes how many odd runs start on top. That leaves
     C(#odd runs, extra) * 2^(#even runs) candidates. A candidate is kept
-    if its rows decode to a bipartition. Some half-variant candidates do
-    not (a 0 in the bottom row never decodes), so the class size is
-    counted, not read off that product.
+    if _unlay reads a partition off each row. Some half-variant candidates
+    hold none (a 0 in the bottom row, on base 1), so the class size is
+    counted, not read off that product. The a-value is a_m of b.
 
     Every decoded candidate is a member: its rows have the seed's lengths,
     and it re-encodes to them, reproducing the multiset, unless both rows
@@ -261,39 +241,28 @@ def similarity_class(b: Bipartition, variant: SymbolVariant) -> CharacterSet:
     top, and 1 would then sit below). Either way no candidate has both
     rows start with a zero part.
     """
-    vals, t = _rows(b, variant)
-    counts = Counter(vals)
+    top, bottom = _rows(b, variant)
+    odd = variant.m.denominator - 1
+    counts = Counter(top + bottom)
     doubles = [v for v, c in counts.items() if c == 2]
     runs = _singleton_runs(counts)
     odd_runs = [r for r in runs if (r[1] - r[0]) % 2 == 0]
     even_runs = [r for r in runs if (r[1] - r[0]) % 2 == 1]
-    extra = t - len(doubles) - sum((hi - lo + 1) // 2 for lo, hi in runs)
+    extra = len(top) - len(doubles) - sum((hi - lo + 1) // 2 for lo, hi in runs)
     members = set()
     for odd_on_top in itertools.combinations(odd_runs, extra):
         for even_on_top in itertools.product(*(((r,), ()) for r in even_runs)):
             on_top = set(odd_on_top).union(*even_on_top)
-            top, bottom = list(doubles), list(doubles)
+            up, down = list(doubles), list(doubles)
             for lo, hi in runs:
-                start, other = (top, bottom) if (lo, hi) in on_top else (bottom, top)
+                start, other = (up, down) if (lo, hi) in on_top else (down, up)
                 start.extend(range(lo, hi + 1, 2))
                 other.extend(range(lo + 1, hi + 1, 2))
-            cand = _decode_member(tuple(sorted(top)), tuple(sorted(bottom)), variant)
-            if cand is not None:
-                members.add(cand)
-    return CharacterSet(frozenset(members), variant, _a_value(vals, t, variant))
-
-
-def _lay(parts: Partition, length: int, base: int) -> tuple[int, ...]:
-    """A row of `length` entries: the parts, zero-padded in front and
-    increasing, laid on base, base + 2, base + 4, ..."""
-    padded = (0,) * (length - len(parts)) + parts[::-1]
-    return tuple(x + base + 2 * i for i, x in enumerate(padded))
-
-
-def _unlay(row: tuple[int, ...], base: int) -> Partition:
-    """The partition that _lay put on base."""
-    parts = [e - base - 2 * i for i, e in enumerate(row)]
-    return tuple(x for x in reversed(parts) if x)
+            first = _unlay(tuple(sorted(up)), 0)
+            second = _unlay(tuple(sorted(down)), odd)
+            if first is not None and second is not None:
+                members.add(Bipartition(first, second))
+    return CharacterSet(frozenset(members), variant, a_m(b, variant))
 
 
 def _strips(row: tuple[int, ...], most: int) -> list[list[tuple[int, ...]]]:
@@ -400,15 +369,16 @@ def truncated_induct(parts: Iterable[int], seed: CharacterSet) -> CharacterSet:
     processed in decreasing order; transitivity makes the result
     independent of that choice.
 
-    Each step scores integer symbol rows and builds a Bipartition only for
-    the winners. Lemma: one more zero part in both rows leaves a_m
-    unchanged, because it adds 2 * C(N, 2) + odd * N to the pair-min sum
-    of the N entries and of the all-zeros symbol alike. So every member
-    and constituent of a step can be laid on one shape, the variant's
-    padding of 1 + the longest first and second components (a strip adds
-    at most one part to each), where a_m is the raw pair-min sum less one
-    constant that cancels in the max. A strip moves only the entries from
-    the last zero part up; the zero parts below contribute in closed form
+    Each step scores symbol rows in the one layout that symbol and a_m use
+    (_lay, read back by _unlay), and builds a Bipartition only for the
+    winners. Lemma: one more zero part in both rows leaves a_m unchanged,
+    because it adds 2 * C(N, 2) + odd * N to the pair-min sum of the N
+    entries and of the all-zeros symbol alike. So every member and
+    constituent of a step can be laid on one shape, the variant's padding
+    of 1 + the longest first and second components (a strip adds at most
+    one part to each), where a_m is the raw pair-min sum less one constant
+    that cancels in the max. A strip moves only the entries from the last
+    zero part up; the zero parts below contribute in closed form
     (_prefix_mins), so a candidate costs a sort of about 2n entries
     however long the padding."""
     if not seed.members:

@@ -315,18 +315,33 @@ class TestSelftestCommand:
     (["split", "--lam", "2,1", "-m", "-1"], "-m"),
     (["residual", "-l", "3", "-m", "-1"], "-m"),
     (["table", "-n", "2", "--m-list", "0,-1"], "--m-list"),
+    (["rgroup", "-n", "100000000", "-m", "1/3", "--kappa", "100000000"], "-n"),
+    (["rgroup", "-n", "65", "-m", "1/3", "--kappa", "65"], "-n"),
+    (["split", "--lam", "100000000", "-m", "1"], "--lam"),
+    (["split", "--lam", "60,5", "-m", "1"], "--lam"),
 ], ids=["rgroup-zero-denominator", "symbols-zero-denominator",
         "residual-negative-weight", "table-rank-zero", "table-jobs-zero",
         "selftest-jobs-zero", "selftest-negative-rank-bound",
         "residual-weight-over-bound",
         "table-rank-over-bound", "split-negative-m", "residual-negative-m",
-        "table-negative-m"])
+        "table-negative-m", "rgroup-huge-rank", "rgroup-rank-over-bound",
+        "split-huge-weight", "split-weight-over-bound"])
 def test_bad_input_is_a_usage_error(capsys, argv, field):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
     assert f"argument {field}:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rgroup", "-n", "64", "-m", "1/3", "--kappa", "64"],
+    ["split", "--lam", "60,4", "-m", "1"],
+], ids=["rgroup", "split"])
+def test_rank_bound_is_inclusive(capsys, argv):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out
 
 
 BRUTE_FORCE_REFUSAL = ("bhecke selftest: brute force over W(B_9) exceeds the "

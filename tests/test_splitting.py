@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from bhecke.partitions import boxes, content, enumerate_partitions, strip
+from bhecke.partitions import RANK_BOUND, boxes, content, enumerate_partitions, strip
 from bhecke.splitting import (
     Orientation,
     central_character,
@@ -197,3 +197,6 @@ def test_validate_datum():
     assert datum_error(4, Fraction(1), (2,), (1,)) is not None
     assert datum_error(3, Fraction(-1), (2,), (1,)) is not None
     assert datum_error(3, Fraction(1), (1, 2), (1,)) is not None
+    assert datum_error(RANK_BOUND, Fraction(1, 3), (RANK_BOUND,), ()) is None
+    assert datum_error(RANK_BOUND + 1, Fraction(1, 3), (RANK_BOUND + 1,), ()) \
+        == f"n={RANK_BOUND + 1} is above the rank bound {RANK_BOUND}"

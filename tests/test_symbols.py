@@ -65,6 +65,10 @@ def reference_rows(b, variant):
             [e + 2 * i + odd for i, e in enumerate(eta)])
 
 
+def entry_multiset(s):
+    return tuple(sorted(s.top + s.bottom))
+
+
 def pair_min_sum(values):
     vs = sorted(values)
     return sum(v * (len(vs) - 1 - i) for i, v in enumerate(vs))
@@ -118,6 +122,22 @@ class TestVariants:
             SymbolVariant("half", 1)
         with pytest.raises(ValueError):
             SymbolVariant("bogus", 0)
+
+
+class TestRowCodec:
+    def test_round_trip(self):
+        for w in range(8):
+            for lam in enumerate_partitions(w):
+                for extra in range(3):
+                    for base in (0, 1, 4):
+                        row = symbols._lay(lam, len(lam) + extra, base)
+                        assert symbols._unlay(row, base) == lam
+
+    def test_refuses_a_row_holding_no_partition(self):
+        assert symbols._unlay((0, 3, 4), 0) is None  # parts 0, 1, 0
+        assert symbols._unlay((0, 1), 1) is None  # parts -1, -2
+        assert symbols._unlay((1, 3), 1) == ()
+        assert symbols._unlay((), 1) == ()
 
 
 class TestSymbolGoldens:
@@ -215,9 +235,9 @@ class TestSimilarity:
     def test_members_pairwise_similar(self):
         cls = similarity_class(Bipartition((4, 3, 2), (2,)), INT3)
         members = sorted(cls.members, key=lambda b: (b.first, b.second))
-        key = symbol(members[0], INT3).entry_multiset()
+        key = entry_multiset(symbol(members[0], INT3))
         for b in members[1:]:
-            assert symbol(b, INT3).entry_multiset() == key
+            assert entry_multiset(symbol(b, INT3)) == key
 
     def test_representative_is_least(self):
         cls = similarity_class(Bipartition((4, 3, 2), (2,)), INT3)
@@ -232,7 +252,7 @@ class TestSimilarity:
             for w in range(10):
                 by_multiset = {}
                 for b in bipartitions(w):
-                    key = symbol(b, variant).entry_multiset()
+                    key = entry_multiset(symbol(b, variant))
                     by_multiset.setdefault(key, set()).add(b)
                 for key, members in by_multiset.items():
                     for b in members:
@@ -390,7 +410,7 @@ class TestTruncatedInduction:
         assert (rep.first, rep.second) == ((1, 1), (10, 10, 7, 4, 3))
         s = symbol(rep, INT3)
         assert (s.top, s.bottom) == ((0, 2, 4, 6, 8, 10, 13, 15), (3, 6, 11, 16, 18))
-        assert s.entry_multiset() == (0, 2, 3, 4, 6, 6, 8, 10, 11, 13, 15, 16, 18)
+        assert entry_multiset(s) == (0, 2, 3, 4, 6, 6, 8, 10, 11, 13, 15, 16, 18)
 
     def test_worked_example_similarity_closed(self):
         cls = springer_correspondents(worked_datum())
@@ -401,7 +421,7 @@ class TestTruncatedInduction:
         cls = springer_correspondents(worked_datum())
         target = (0, 2, 3, 4, 6, 6, 8, 10, 11, 13, 15, 16, 18)
         for b in cls.members:
-            assert symbol(b, INT3).entry_multiset() == target
+            assert entry_multiset(symbol(b, INT3)) == target
 
     def test_appended_pair_postcondition(self):
         # each member of the induced class extends some seed member by
@@ -453,7 +473,12 @@ class TestRowBound:
         symbols.check_symbol_bound(F(10 ** 9, 3), n)  # no symbols, no rows
 
     def test_springer_refuses_before_any_row(self, monkeypatch):
-        monkeypatch.setattr(symbols, "_rows", None)
+        # Every symbol row is laid by _lay, so with it gone no path can
+        # build one: a small m fails on the missing codec, a huge m is
+        # refused first.
+        monkeypatch.setattr(symbols, "_lay", None)
+        with pytest.raises(TypeError):
+            springer_correspondents(InductionDatum(3, 1, (2,), (1,)))
         with pytest.raises(ValueError, match="up to 100000006 entries"):
             springer_correspondents(InductionDatum(3, 10 ** 8, (2,), (1,)))
 

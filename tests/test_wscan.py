@@ -122,3 +122,24 @@ def test_r_members_match_python_scan():
     for xi in data:
         found = [w.images for w in brute_force_R(xi)]
         assert found == [elements(xi.n)[k] for k in r_scan(xi)], xi
+
+
+def test_character_condition_never_prunes():
+    # Every block of one length carries the same centred strip character,
+    # so a w that permutes those blocks, each reversed with sign or not,
+    # maps the character onto itself, and the simple-root condition already
+    # fixes the tail pointwise. So today the stabilizer equals the
+    # simple-root survivors, and its order is the product of 2^k * k! over
+    # the length classes, whatever glues. The filter stays: it is part of
+    # the stabilizer's definition.
+    ms = [F(k, 2) for k in range(9)] + [F(1, 3), F(2, 3), F(5, 4)]
+    data = [InductionDatum(*case) for n in range(1, 7)
+            for case in induction_data(n, ms)]
+    assert len(data) == 1469
+    for xi in data:
+        stab = xi._stabilizer_indices
+        surv = pi_survivors(xi.n, *pi_structure(xi.kappa, xi.l, xi.n))
+        if surv is None:
+            assert stab is None, xi
+        else:
+            assert np.array_equal(stab, surv), xi
