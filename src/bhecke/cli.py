@@ -38,16 +38,15 @@ from .report import SCHEMA_VERSION, build_report, split_fields
 from .rgroup import (
     BRUTE_FORCE_BOUND,
     InductionDatum,
-    _check_bound,
+    _check_oracle,
     convert_C_labels,
     induction_data,
 )
-from .selftest import SUITE_NAMES, Bounds, map_jobs, run_selftest
+from .selftest import SUITE_NAMES, Bounds, map_jobs, run_selftest, selected_suites
 from .splitting import residual_partitions, split
 from .symbols import (
     MINUS_ZERO,
     PLUS_ZERO,
-    a_m,
     check_symbol_bound,
     intervals,
     similarity_class,
@@ -205,7 +204,7 @@ def cmd_rgroup(args) -> int:
         xi = InductionDatum(args.n, args.m, args.kappa, args.mu)
         check_symbol_bound(xi.m, xi.n)
         if args.oracle:
-            _check_bound(xi.n)
+            _check_oracle(xi)
     except ValueError as exc:
         sys.stderr.write(f"bhecke rgroup: {exc}\n")
         return 2
@@ -301,7 +300,6 @@ def cmd_symbols(args) -> int:
         sys.stderr.write(f"bhecke symbols: {exc}\n")
         return 2
     s = symbol(bp, variant)
-    a = a_m(bp, variant)
     ivs = intervals(s)
     cls = similarity_class(bp, variant)
     if args.json:
@@ -312,7 +310,7 @@ def cmd_symbols(args) -> int:
             "variant": variant.label,
             "top": list(s.top),
             "bottom": list(s.bottom),
-            "aValue": a,
+            "aValue": cls.a_value,
             "intervals": [list(iv) for iv in ivs],
             "classSize": len(cls.members),
         })
@@ -320,7 +318,7 @@ def cmd_symbols(args) -> int:
     _print(f"first={_fmt_parts(bp.first)}  second={_fmt_parts(bp.second)}  "
            f"variant={variant.label}")
     _print(f"symbol     {_fmt_rows(s.top, s.bottom)}")
-    _print(f"a          {a}")
+    _print(f"a          {cls.a_value}")
     _print(f"intervals  {' '.join(f'({lo}..{hi})' for lo, hi in ivs) or '-'}  "
            f"count={len(ivs)}")
     _print(f"classSize  {len(cls.members)}")
@@ -392,10 +390,11 @@ def cmd_table(args) -> int:
 def cmd_selftest(args) -> int:
     bounds = Bounds(bound_n=args.bound_n, jobs=args.jobs)
     try:
-        return run_selftest(suites=args.suite or None, bounds=bounds)
+        names = selected_suites(args.suite, bounds)
     except ValueError as exc:
         sys.stderr.write(f"bhecke selftest: {exc}\n")
         return 2
+    return run_selftest(names, bounds)
 
 
 def cmd_convert_c(args) -> int:

@@ -129,11 +129,10 @@ def check_enumeration_bound(n: int) -> None:
 
 
 # Largest rank n of an induction datum, and largest weight |lam| of a
-# partition to split. Truncated induction grows steeply with the rank:
-# long strips over a mu with many parts have many Pieri constituents, and
-# each of up to sqrt(n) gluable lengths doubles the class. On a 2-CPU VM
-# the slowest report found at rank 64 took about 6 s and 26 MB, at rank 48
-# about 0.5 s, and one at rank 99 20 s.
+# partition to split. Truncated induction is closed-form per strip, so the
+# cost at high rank is glue_strip_geometric's search: on a 2-CPU VM the
+# slowest report found at rank 64, one strip of 34 over (9,6,5,4,3,2,1) at
+# m = 3/2, takes about 3 s and 68 MB, nearly all of it in that search.
 RANK_BOUND = 64
 
 

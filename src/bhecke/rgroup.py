@@ -69,8 +69,9 @@ class InductionDatum:
     kappa lists the strip lengths of the A-part (stored decreasing), mu is
     the residual partition carrying the discrete series of the B-factor, and
     sum(kappa) + sum(mu) = n. Invalid data are rejected on construction.
-    The split, gluable classes and stabilizer are derived once per datum,
-    on first read; the cache is not a field, so == and hash ignore it.
+    The split, gluable classes, scaled character and stabilizer are derived
+    once per datum, on first read; the cache is not a field, so == and hash
+    ignore it.
     """
 
     n: int
@@ -125,12 +126,18 @@ class InductionDatum:
                      if _glues(length, self.split_result, self.m))
 
     @cached_property
+    def _gamma2(self) -> tuple[int, ...]:
+        """The central character scaled by 2d, where d is the denominator of
+        m: integers, and a positive scale keeps the stabilizer's conditions."""
+        scale = 2 * self.m.denominator
+        return tuple(int(scale * g) for g in central_character(self.kappa, self.mu, self.m))
+
+    @cached_property
     def _stabilizer_indices(self):
         """Sorted group ranks of the W(B_n) stabilizer of the parabolic
         simple roots and the central character; None for the whole group."""
         from . import _wscan
-        return _wscan.w_survivor_indices(self.n, self.kappa, self.l,
-                                         _gamma2(self))
+        return _wscan.w_survivor_indices(self.n, self.kappa, self.l, self._gamma2)
 
 
 def induction_data(n: int, ms: Iterable[Fraction]) -> list[tuple]:
@@ -373,11 +380,15 @@ def _check_bound(n: int) -> None:
             f"its image table alone needs {nbytes:,} bytes")
 
 
-def _gamma2(xi: InductionDatum) -> tuple[int, ...]:
-    """The central character scaled by 2d, where d is the denominator of m:
-    integers, and a positive scale keeps the stabilizer's conditions."""
-    scale = 2 * xi.m.denominator
-    return tuple(int(scale * g) for g in central_character(xi.kappa, xi.mu, xi.m))
+def _check_oracle(xi: InductionDatum) -> None:
+    """Refuse the W(B_n) oracles on xi before any scan: above
+    BRUTE_FORCE_BOUND, or where a difference of two xi._gamma2 entries
+    could overflow the scan's int64."""
+    _check_bound(xi.n)
+    top = 2 * max(map(abs, xi._gamma2))
+    if top >= 1 << 63:
+        raise ValueError(f"the W(B_{xi.n}) oracle scans the scaled central character in "
+                         f"int64: twice its largest entry is {top}, not below the bound 2^63")
 
 
 class WeylSubset(Sequence):
@@ -410,7 +421,7 @@ def brute_force_W_xi_xi(xi: InductionDatum) -> WeylSubset:
     2^k * k! over the length classes of k blocks each. The report's
     oracleStabilizerOrder check compares that with weyl_order * 2^d, and
     the gluing does not enter it: a class is B_k, or D_k times 2."""
-    _check_bound(xi.n)
+    _check_oracle(xi)
     from . import _wscan
     ranks = xi._stabilizer_indices
     if ranks is None:
@@ -427,7 +438,7 @@ def brute_force_R(xi: InductionDatum) -> list[SignedPermutation]:
     counted factor by factor (pole_order_short_direct), vanishes. r_group
     takes the blockwise count instead, so a wrong gluing rule there shows
     up as a disagreement."""
-    _check_bound(xi.n)
+    _check_oracle(xi)
     from . import _wscan
     classes = xi.length_classes()
     offsets = xi.offsets

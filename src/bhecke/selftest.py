@@ -9,8 +9,8 @@ other bound is a constant of its suite. run_selftest refuses a bound_n the
 rgroup suite cannot scan before it runs anything. A full run takes about
 3.5 s at the default bounds and 15 s at the release bounds on a 2-CPU Linux
 VM with Python 3.11. At the release bounds most of it goes to the rgroup
-suite (about 10 s); the gluing suite takes about 2.5 s and the counting
-suite about 1.8 s.
+suite (about 11.5 s); the gluing suite takes about 2 s and the counting
+suite about 1.3 s.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .symbols import (
     component_group_order_m1,
     interval_count_check,
     intervals,
-    similarity_class,
     springer_correspondents,
     symbol,
 )
@@ -64,6 +63,7 @@ __all__ = [
     "map_jobs",
     "run_selftest",
     "run_suite",
+    "selected_suites",
 ]
 
 # Data (n, m, kappa, mu) where the classical counting identities fail: the
@@ -294,13 +294,11 @@ def _counting_chunk(args) -> SuiteResult:
     full = springer_correspondents(xi)
     conds = [cardinality_check(xi, full), interval_count_check(xi, full)]
     if m == 1:
-        seed = similarity_class(xi.split_result.bipartition, full.variant)
         full_symbol = symbol(full.representative(), full.variant)
-        seed_symbol = symbol(seed.representative(), full.variant)
+        seed_symbol = symbol(xi.split_result.bipartition, full.variant)
         if intervals(full_symbol) and intervals(seed_symbol):
-            quotient = component_group_order_m1(full_symbol) \
-                / component_group_order_m1(seed_symbol)
-            conds.append(quotient == 1 << len(xi.gluable_classes))
+            conds.append(component_group_order_m1(full_symbol)
+                         == component_group_order_m1(seed_symbol) << len(xi.gluable_classes))
     key = (n, m, kappa, mu)
     deviates = not all(conds)
     if key in KNOWN_COUNTING_DEVIATIONS:
@@ -367,23 +365,26 @@ def map_jobs(fn, cases, jobs: int) -> list:
         return list(pool.map(fn, cases, chunksize=max(1, len(cases) // (8 * workers))))
 
 
-def _suite(name: str, bounds: Bounds) -> Callable[[Bounds, SuiteResult], None]:
-    """The suite called name, refusing an unknown name, or a bound_n above
-    the brute-force bound for the rgroup suite."""
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    if name == "rgroup":
+def selected_suites(suites: Optional[Iterable[str]], bounds: Bounds) -> list[str]:
+    """The names of the selected suites (all by default). Raises ValueError
+    for an unknown name, or for a bound_n above the brute-force bound when
+    the rgroup suite is selected: the one refusal, made before any check."""
+    names = list(suites) if suites else list(SUITE_NAMES)
+    for name in names:
+        if name not in _SUITES:
+            raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if "rgroup" in names:
         _check_bound(bounds.bound_n)
-    return _SUITES[name]
+    return names
 
 
 def run_suite(name: str, bounds: Bounds = Bounds()) -> SuiteResult:
     """Run one suite and time it; a run that checked nothing gets a note.
-    Raises ValueError, before any check runs, where _suite refuses."""
-    suite = _suite(name, bounds)
+    Refuses, before any check runs, where selected_suites does."""
+    selected_suites([name], bounds)
     res = SuiteResult(name)
     started = time.perf_counter()
-    suite(bounds, res)
+    _SUITES[name](bounds, res)
     res.seconds = time.perf_counter() - started
     if not res.checked:
         res.notes.append("no checks ran: the bounds select no cases")
@@ -391,16 +392,10 @@ def run_suite(name: str, bounds: Bounds = Bounds()) -> SuiteResult:
 
 
 def run_selftest(suites: Optional[Iterable[str]] = None,
-                 bounds: Bounds = Bounds(),
-                 emit: Callable[[str], None] = print) -> int:
+                 bounds: Bounds = Bounds()) -> int:
     """Run the selected suites (all by default); 0 iff everything passed.
-
-    Raises ValueError before running anything for an unknown suite, or for
-    a bound_n above the brute-force bound when the rgroup suite is selected.
-    """
-    names = list(suites) if suites else list(SUITE_NAMES)
-    for name in names:
-        _suite(name, bounds)
+    Refuses, before running anything, where selected_suites does."""
+    names = selected_suites(suites, bounds)
     total_failures = 0
     failed_suites = []
     for name in names:
@@ -408,16 +403,16 @@ def run_selftest(suites: Optional[Iterable[str]] = None,
         status = "ok" if res.ok() else "FAIL"
         if not res.ok():
             failed_suites.append(name)
-        emit(f"suite {name:<10} {status:<4} {res.checked:6d} checks "
-             f"{len(res.failures):3d} failures  {res.seconds:7.2f}s")
+        print(f"suite {name:<10} {status:<4} {res.checked:6d} checks "
+              f"{len(res.failures):3d} failures  {res.seconds:7.2f}s")
         for note in res.notes:
-            emit(f"  note: {note}")
+            print(f"  note: {note}")
         for line in res.failures[:10]:
-            emit(f"  reproduce: {line}")
+            print(f"  reproduce: {line}")
         if len(res.failures) > 10:
-            emit(f"  ... {len(res.failures) - 10} more")
+            print(f"  ... {len(res.failures) - 10} more")
         total_failures += len(res.failures)
-    emit("selftest: " + ("all suites passed" if not failed_suites
-                         else f"{total_failures} failures; failed suites: "
-                              + ", ".join(failed_suites)))
+    print("selftest: " + ("all suites passed" if not failed_suites
+                          else f"{total_failures} failures; failed suites: "
+                               + ", ".join(failed_suites)))
     return 0 if not failed_suites else 1

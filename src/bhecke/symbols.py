@@ -3,7 +3,9 @@
 A bipartition is encoded as a two-row symbol by shifting its increasing parts;
 bipartitions whose symbols carry the same entry multiset are similar, and the
 pairwise-min statistic a_m drives truncated induction: induce with the Pieri
-rule, keep the a_m-maximal constituents, and close under similarity. Interval
+rule, keep the a_m-maximal constituents, and close under similarity. Those
+constituents need no search: they fill the lowest free levels of the
+symbol's rows, one entry multiset per class (see truncated_induct). Interval
 counts of the resulting symbols encode component groups, which is where the
 reducibility count 2^d resurfaces independently of the root-system picture.
 
@@ -19,7 +21,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Optional
+from typing import Iterable, Optional
 
 from .partitions import Bipartition, Partition, fmt_ratio
 from .rgroup import InductionDatum
@@ -309,57 +311,27 @@ def pieri_induct(p: int, b: Bipartition) -> list[Bipartition]:
     return sorted(out, key=lambda c: (c.first, c.second))
 
 
-def _prefix_mins(count: int, start: int, size: int) -> list[int]:
-    """[sum(min(x, y) for x in P) for y in range(size)], P being the count
-    entries start, start + 2, ...: the sum grows by #{x in P : x >= y}
-    from y - 1 to y."""
-    return list(itertools.accumulate(
-        (count - min(count, max(0, (y - start + 1) // 2)) for y in range(1, size)),
-        initial=0))
-
-
-def _best_constituents(p: int, members: Collection[Bipartition],
-                       variant: SymbolVariant) -> set[Bipartition]:
-    """The a_m-maximal Pieri constituents of a p-strip over the members,
-    scored on integer rows of one shared shape (see truncated_induct)."""
-    odd = variant.m.denominator - 1
-    lf = 1 + max(len(b.first) for b in members)
-    ls = 1 + max(len(b.second) for b in members)
+def _raised(p: int, b: Bipartition, variant: SymbolVariant) -> Bipartition:
+    """The Pieri constituent of a p-strip over b that fills the p lowest
+    free levels of its rows (see truncated_induct). Each row gets one more
+    zero part; the zero parts below have no free level and are left out."""
+    lf, ls = len(b.first) + 1, len(b.second) + 1
     t, bb = _padded_lengths(variant, lf, ls)
-    # Only the last lf top and ls bottom entries can move. Below them the
-    # rows hold zero parts; drop those both rows share, which leaves z on
-    # top (z > 0) or -z at the bottom (z < 0).
     z = (t - lf) - (bb - ls)
-    top_base, bottom_base = 2 * max(z, 0), 2 * max(-z, 0) + odd
-    laid = [(_lay(b.first, lf, top_base), _lay(b.second, ls, bottom_base))
-            for b in members]
-    # Those |z| fixed entries lie below every entry of their own row, and
-    # meet each entry y of the other row in near[y] = sum of min(x, y).
-    far = 0 if z < 0 else 1
-    near = _prefix_mins(abs(z), 0 if z > 0 else odd,
-                        max(rows[far][-1] for rows in laid) + p + 1) if z else None
+    bases = (2 * max(z, 0), 2 * max(-z, 0) + variant.m.denominator - 1)
+    rows = [list(_lay(b.first, lf, bases[0])), list(_lay(b.second, ls, bases[1]))]
+    levels = sorted((x + c, side, j) for side, row in enumerate(rows)
+                    for j, (x, y) in enumerate(zip(row, row[1:] + [row[-1] + p + 2]))
+                    for c in range(min(y - 2 - x, p)))
+    for _, side, j in levels[:p]:
+        rows[side][j] += 1
+    return Bipartition(*map(_unlay, map(tuple, rows), bases))
 
-    def weighed(row: tuple[int, ...], side: int) -> list[list[tuple]]:
-        """The strips of row by size, each with its sum over near."""
-        if near is None or side != far:
-            return [[(r, 0) for r in rows] for rows in _strips(row, p)]
-        return [[(r, sum(map(near.__getitem__, r))) for r in rows]
-                for rows in _strips(row, p)]
 
-    desc = range(lf + ls - 1, -1, -1)
-    best, winners = -1, set()
-    for top, bottom in laid:
-        tops, bottoms = weighed(top, 0), weighed(bottom, 1)
-        for a in range(p + 1):
-            for t_row, t_near in tops[a]:
-                for b_row, b_near in bottoms[p - a]:
-                    score = t_near + b_near + sum(map(operator.mul, sorted(t_row + b_row), desc))
-                    if score > best:
-                        best, winners = score, {(t_row, b_row)}
-                    elif score == best:
-                        winners.add((t_row, b_row))
-    return {Bipartition(_unlay(t_row, top_base), _unlay(b_row, bottom_base))
-            for t_row, b_row in winners}
+def _one_per_class(members: Iterable[Bipartition], variant: SymbolVariant) -> list[Bipartition]:
+    """One member of each similarity class met, keyed by entry multiset."""
+    return list({tuple(sorted(itertools.chain(*_rows(b, variant)))): b
+                 for b in members}.values())
 
 
 def truncated_induct(parts: Iterable[int], seed: CharacterSet) -> CharacterSet:
@@ -369,30 +341,53 @@ def truncated_induct(parts: Iterable[int], seed: CharacterSet) -> CharacterSet:
     processed in decreasing order; transitivity makes the result
     independent of that choice.
 
-    Each step scores symbol rows in the one layout that symbol and a_m use
-    (_lay, read back by _unlay), and builds a Bipartition only for the
-    winners. Lemma: one more zero part in both rows leaves a_m unchanged,
-    because it adds 2 * C(N, 2) + odd * N to the pair-min sum of the N
-    entries and of the all-zeros symbol alike. So every member and
-    constituent of a step can be laid on one shape, the variant's padding
-    of 1 + the longest first and second components (a strip adds at most
-    one part to each), where a_m is the raw pair-min sum less one constant
-    that cancels in the max. A strip moves only the entries from the last
-    zero part up; the zero parts below contribute in closed form
-    (_prefix_mins), so a candidate costs a sort of about 2n entries
-    however long the padding."""
+    A step needs no search (_raised): the a_m-maximal constituents of a
+    member fill the p lowest free levels of its rows and share one entry
+    multiset, the same for every member of a class. So a step takes one
+    member per class, and reads a_m only to choose between classes.
+
+    Proof. Lay each row one zero part longer than the symbol's padding:
+    all members of a class then share row lengths and multiset, and zero
+    parts both rows share change neither a_m nor similarity. As
+    min(x, y) = #{u >= 0 : u < x, u < y}, the pair-min sum is
+    sum_u C(c(u), 2), c(u) being #{entries > u}. A strip raises an entry
+    to at most 2 below the next one in its row, so it crosses only levels
+    u free in that row: the row holds an entry <= u and none at u + 1 or
+    u + 2. Free levels form runs from an entry to 3 below the next (the
+    last run has no end), and an entry crosses a prefix of its run. So a
+    constituent is a profile, k(u) entries crossing u, with sum p,
+    k(u) <= f(u) (the rows free at u) and run prefixes in each row; it
+    adds sum_u [k(u) c(u) + C(k(u), 2)]. Each row holds its zero part at
+    0 or 1, so f(u) is 2 less the rows meeting {u + 1, u + 2}: a function
+    of the multiset, as a double lies in both rows and consecutive
+    singletons in different ones.
+
+    Filling the lowest free levels is feasible for every member: a row
+    fills all its free levels below some height, so each run from its
+    start. Any other feasible k has a lowest level u with k(u) < f(u)
+    below its highest filled level w. Moving a unit from w to u stays
+    feasible (w tops its prefix; all below u is full) and gains
+    g = c(u) - c(w) + k(u) - k(w) + 1, k(w) being 1 or 2. If
+    c(u) - c(w) >= 2, g >= 1. If c(u) = c(w), no entry lies in u + 1 .. w,
+    so a row filling w runs through u and fills it; u is not full, so
+    k(w) = 1 <= k(u) and g >= 1. If c(u) - c(w) = 1, one singleton lies
+    there; if k(w) = 2, the other row runs through u and fills it, so
+    k(u) >= 1 and g >= 1; else g >= 1 anyway. Each move lowers
+    sum_u u k(u), so bottom-up filling is the one a_m-maximal profile. It
+    fixes every c(u) + k(u), hence the multiset, and is read off f alone."""
     if not seed.members:
         raise ValueError("seed must be nonempty")
     variant = seed.variant
-    current = seed.members
+    current = _one_per_class(seed.members, variant)
     for p in sorted(parts, reverse=True):
-        current = _best_constituents(p, current, variant)
-    closure: set[Bipartition] = set()
-    for b in current:
-        if b not in closure:
-            cls = similarity_class(b, variant)
-            closure.update(cls.members)
-    return CharacterSet(frozenset(closure), variant, cls.a_value)
+        current = [_raised(p, b, variant) for b in current]
+        if len(current) > 1:
+            scored = [(a_m(b, variant), b) for b in current]
+            best = max(s for s, _ in scored)
+            current = _one_per_class([b for s, b in scored if s == best], variant)
+    classes = [similarity_class(b, variant) for b in current]
+    return CharacterSet(frozenset().union(*(c.members for c in classes)), variant,
+                        classes[-1].a_value)
 
 
 def springer_correspondents(xi: InductionDatum) -> CharacterSet:

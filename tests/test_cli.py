@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 import bhecke
 from bhecke import selftest
 from bhecke.cli import main
+from bhecke.rgroup import InductionDatum, brute_force_R, brute_force_W_xi_xi
 
 
 def run_cli(argv, capsys):
@@ -285,6 +287,16 @@ class TestSelftestCommand:
         code, _, _ = run_cli(["selftest", "--suite", "nonsense"], capsys)
         assert code == 2
 
+    def test_a_suite_error_is_not_a_usage_error(self, monkeypatch):
+        # Only the refusal before any suite runs exits 2; a ValueError
+        # raised inside a running suite is an error of the suite.
+        def broken(bounds, res):
+            raise ValueError("broken suite")
+
+        monkeypatch.setitem(selftest._SUITES, "pairs", broken)
+        with pytest.raises(ValueError, match="broken suite"):
+            main(["selftest", "--suite", "pairs"])
+
     def test_rgroup_suite_writes_nothing_to_stderr(self):
         # A separate interpreter, because pytest captures what a plain run
         # prints to stderr. Rank 7 includes data whose component labels
@@ -387,6 +399,38 @@ def test_huge_m_is_refused_before_any_row(capsys, command, argv, length):
     assert out == ""
     assert err == (f"bhecke {command}: symbol rows at m=100000000 would hold up "
                    f"to {length} entries, above the bound 65536\n")
+
+
+# At m = 1/D the strip (2) has central character entries -D and D, scaled
+# by 2 * den(m) = 2D to integers; the oracle's int64 scan takes differences
+# of two entries, so 2D must stay below 2^63.
+LARGEST_ORACLE_DEN = (1 << 62) - 1
+
+
+@pytest.mark.parametrize("den", [LARGEST_ORACLE_DEN + 1, 10 ** 23 + 1])
+def test_oracle_refuses_int64_overflow(capsys, den):
+    argv = ["rgroup", "-n", "3", "-m", f"1/{den}", "--kappa", "2", "--mu", "1"]
+    code, out, err = run_cli(argv + ["--oracle"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("bhecke rgroup: the W(B_3) oracle scans the scaled central "
+                   f"character in int64: twice its largest entry is {2 * den}, not "
+                   "below the bound 2^63\n")
+    xi = InductionDatum(3, Fraction(1, den), (2,), (1,))
+    for oracle in (brute_force_W_xi_xi, brute_force_R):
+        with pytest.raises(ValueError, match="not below the bound 2\\^63"):
+            oracle(xi)
+    assert run_cli(argv, capsys)[0] == 0  # only the oracle is refused
+
+
+def test_oracle_runs_at_the_largest_accepted_character(capsys):
+    code, out, _ = run_cli(
+        ["rgroup", "-n", "3", "-m", f"1/{LARGEST_ORACLE_DEN}", "--kappa", "2",
+         "--mu", "1", "--oracle", "--strict", "--json"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["oracle"]["stabilizerOrder"] == 2
+    assert rep["checks"]["oracleRGroup"] and rep["checks"]["oracleStabilizerOrder"]
 
 
 def test_rgroup_suite_refuses_before_checking(monkeypatch):

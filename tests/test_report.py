@@ -168,3 +168,65 @@ def test_reports_are_unchanged():
         rep = report.build_report(InductionDatum(*case), oracle=True)
         digest.update((json.dumps(rep, indent=2, sort_keys=True) + "\n").encode())
     assert digest.hexdigest() == REPORTS_DIGEST
+
+
+# A fixed list of 41 data of rank 16 to 64 at m in {0, 1/2, ..., 4}: 30
+# drawn at random (random.Random(20): rank, m, |mu| <= 14, mu among the
+# residual partitions at m, kappa a random partition of the rest), nine
+# with the largest seed class of weight 10-14 at each m and two strips,
+# and the two slowest rank-64 reports of the grid that chose RANK_BOUND.
+HIGH_RANK_DATA = [
+    (62, "1", (56, 2), (4,)),
+    (52, "1", (27, 6, 5, 4, 4, 3, 3), ()),
+    (44, "3", (21, 11, 6, 2, 1), (3,)),
+    (56, "4", (26, 10, 4, 3, 1), (4, 4, 2, 2)),
+    (18, "3/2", (7, 5, 3, 2), (1,)),
+    (60, "2", (58,), (2,)),
+    (17, "2", (2, 2, 1, 1), (7, 1, 1, 1, 1)),
+    (57, "2", (45, 6, 2), (4,)),
+    (25, "2", (7, 6, 3, 1), (4, 2, 1, 1)),
+    (60, "1", (28, 12, 4, 3, 1), (2, 2, 2, 2, 2, 2)),
+    (19, "4", (7, 6, 3), (2, 1)),
+    (21, "1/2", (6, 2, 1), (6, 3, 1, 1, 1)),
+    (45, "4", (15, 11, 4, 3), (10, 1, 1)),
+    (52, "1/2", (22, 17, 6, 3, 3), (1,)),
+    (18, "0", (9, 5, 1), (3,)),
+    (26, "0", (5, 3, 2, 2), (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    (33, "1/2", (8, 7, 4, 4, 2, 1, 1), (5, 1)),
+    (51, "3", (16, 15, 6), (8, 2, 2, 1, 1)),
+    (16, "1", (7, 3, 1, 1, 1), (3,)),
+    (55, "2", (29, 18, 4, 1, 1), (2,)),
+    (39, "2", (19, 7, 4, 3), (1, 1, 1, 1, 1, 1)),
+    (29, "0", (17, 1), (3, 1, 1, 1, 1, 1, 1, 1, 1)),
+    (64, "4", (46, 3, 3, 2, 1), (5, 2, 1, 1)),
+    (54, "1/2", (20, 14, 14, 4, 1, 1), ()),
+    (34, "7/2", (25, 9), ()),
+    (41, "3", (30, 5, 1, 1), (4,)),
+    (36, "3/2", (10, 8, 3, 2, 1), (7, 2, 1, 1, 1)),
+    (55, "0", (24, 8, 6, 5, 4, 2, 1), (4, 1)),
+    (25, "2", (6, 3, 3, 1), (12,)),
+    (17, "3/2", (8, 2, 1), (3, 2, 1)),
+    (34, "1/2", (18, 6), (4, 3, 2, 1)),
+    (48, "1", (22, 14), (4, 4, 3, 1)),
+    (45, "3/2", (17, 14), (4, 4, 3, 2, 1)),
+    (42, "0", (22, 10), (6, 3, 1)),
+    (34, "2", (16, 8), (6, 2, 2)),
+    (50, "5/2", (30, 8), (3, 3, 3, 2, 1)),
+    (39, "3", (21, 8), (4, 2, 2, 2)),
+    (50, "7/2", (26, 14), (3, 2, 2, 2, 1)),
+    (33, "4", (15, 8), (2, 2, 2, 2, 2)),
+    (64, "1", (17, 17), (12, 6, 4, 3, 3, 2)),
+    (64, "1/2", (20, 16), (7, 6, 5, 4, 3, 2, 1)),
+]
+
+# sha256 over their rgroup --json reports, recorded with the truncation
+# step that scored every Pieri constituent of every class member.
+HIGH_RANK_DIGEST = "9fb9dd86b9538155b10cbec45472cae6b2f492b43bb326af1661622c9ccbda26"
+
+
+def test_high_rank_reports_are_unchanged():
+    digest = hashlib.sha256()
+    for n, m, kappa, mu in HIGH_RANK_DATA:
+        rep = report.build_report(InductionDatum(n, F(m), kappa, mu))
+        digest.update((json.dumps(rep, indent=2, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == HIGH_RANK_DIGEST

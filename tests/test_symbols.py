@@ -360,6 +360,26 @@ def reference_truncated_induct(parts, seed):
 
 
 class TestTruncatedInduction:
+    def test_step_fills_the_lowest_free_levels(self):
+        # every a_m-maximal Pieri constituent has the entry multiset and the
+        # a_m of the one _raised builds: 8,964 cases
+        variants = [PLUS_ZERO] + [v for m in [-1, F(-3, 2)] + [F(k, 2) for k in range(1, 7)]
+                                  for v in variants_for_m(m)]
+        checked = 0
+        for w in range(8):
+            for b in bipartitions(w):
+                for p in range(1, 5):
+                    for v in variants:
+                        raised = symbols._raised(p, b, v)
+                        scored = [(a_m(c, v), c) for c in pieri_induct(p, b)]
+                        best = max(s for s, _ in scored)
+                        assert a_m(raised, v) == best, (b, p, v.label)
+                        want = entry_multiset(symbol(raised, v))
+                        assert {entry_multiset(symbol(c, v))
+                                for s, c in scored if s == best} == {want}, (b, p, v.label)
+                        checked += 1
+        assert checked == 8964
+
     def test_matches_the_bipartition_fold(self):
         # all 3,150 data of rank <= 8 at m in {0, 1/2, ..., 4}, the 290 at
         # m = 0 under both zero variants
@@ -376,10 +396,9 @@ class TestTruncatedInduction:
         assert checked == 3150 + 290
 
     def test_matches_the_bipartition_fold_on_any_seed(self):
-        # a seed of two members of one weight that are not similar; with
-        # their longest rows on one shape, the zero parts of one row meet
-        # the other row's entries, and scoring without that term picks
-        # other winners on 55 of these 3,525 seeds
+        # a seed of two members of one weight that are not similar: each
+        # member's step lands in its own class, and the a_m-maximal ones
+        # win, with a tie keeping both, on these 3,525 seeds
         variants = LEMMA_VARIANTS + list(variants_for_m(F(41, 2)))
         for w in (3, 4):
             for pair in itertools.combinations(bipartitions(w), 2):
