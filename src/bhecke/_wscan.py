@@ -3,11 +3,14 @@
 Group elements are indexed 0 .. 2^n*n!-1 as k = s*n! + p, where p is the
 lexicographic rank of the underlying permutation and bit j of s flips the
 sign of target coordinate j+1. The full signed-image table for one n is a
-(2^n*n!, n) int8 array (83 MB at n = 8), built once per n and shared; the
+(2^n*n!, n) int8 array (83 MB at n = 8), built once per n, straight into
+one C-contiguous buffer, and shared: at n = 8 the build takes about 0.2 s
+and lifts peak RSS by about 1.07 times the table (2-CPU Linux VM). The
 sorted survivor indices of each simple-root shape (n, pset, short) are
-cached, a few hundred int64 per shape at n = 8. pi_survivors and
-w_survivor_indices return None for the whole group; r_member_indices
-always returns indices and caches nothing.
+cached: a few hundred int64 for most shapes at n = 8, but 645,120 with e_n
+simple and no chain root. pi_survivors and w_survivor_indices return None
+for the whole group; r_member_indices always returns indices and caches
+nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ def images_table(n: int) -> np.ndarray:
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
     s = np.arange(1 << n, dtype=np.int64)[:, None]
     signs = (1 - 2 * ((s >> np.arange(n)[None, :]) & 1)).astype(np.int8)
-    img = signs[:, perms]
+    img = np.take(signs, perms, axis=1)
     img *= perms + 1
     return img.reshape(-1, n)
 
@@ -67,7 +70,8 @@ def pi_survivors(n: int, pset: tuple[int, ...],
     Each condition filters only the candidates left by the ones before it:
     first w(e_n) = e_n when e_n is simple, then, one chain root
     e_a - e_{a+1} of pset at a time, that w maps it to a chain root
-    e_b - e_{b+1} of pset (w(e_a) is e_b or -e_{b+1}). Cached per shape
+    e_b - e_{b+1} of pset: w(e_{a+1}) = w(e_a) + 1, and on the rows left
+    by that test, w(e_a) is e_b or -e_{b+1}. Cached per shape
     (n, pset, short); the array is read-only because it is shared. Returns
     None when there is no condition, meaning the whole group survives.
     """
@@ -84,9 +88,9 @@ def pi_survivors(n: int, pset: tuple[int, ...],
         surv = np.flatnonzero(img[:, n - 1] == n) if short else None
         for a in pset:
             pair = img[slice(None) if surv is None else surv, a - 1:a + 1]
-            v = pair[:, 0]
-            keep = (pair[:, 1] == v + 1) & lut[v.astype(np.int16) + n]
+            keep = pair[:, 1] == pair[:, 0] + 1
             surv = np.flatnonzero(keep) if surv is None else surv[keep]
+            surv = surv[lut[img[surv, a - 1].astype(np.int16) + n]]
         surv.flags.writeable = False
         _survivor_cache[key] = surv
     return surv

@@ -12,7 +12,8 @@ decimal input is rejected rather than silently rounded. JSON output is
 versioned through a schemaVersion field, renders fractions as strings, and
 is byte-identical across runs and worker counts for identical inputs.
 Exit codes: 0 success, 1 failed check (selftest, or rgroup --strict),
-2 usage or precondition error.
+2 usage or precondition error, 141 (128 + SIGPIPE) when the reader closes
+standard output early.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -543,7 +545,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout (say, `| head -1`). Point stdout at
+        # devnull so that the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -58,7 +58,9 @@ __all__ = [
 ]
 
 # The largest rank the W(B_n) oracles scan: the image table of W(B_8) takes
-# 83 MB, and that of W(B_9) 1.7 GB.
+# 83 MB, built in one buffer, so `rgroup --oracle` at rank 8 peaks near
+# 130 MB (near 190 MB on principal-series data, whose R scan runs over the
+# whole group); that of W(B_9) would take 1.7 GB.
 BRUTE_FORCE_BOUND = 8
 
 

@@ -17,6 +17,18 @@ from bhecke.cli import main
 from bhecke.rgroup import InductionDatum, brute_force_R, brute_force_W_xi_xi
 
 
+def cli_env():
+    """The environment for a CLI subprocess that imports this checkout."""
+    src = str(Path(bhecke.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)
+    return env
+
+
+CLI_MAIN = "import sys; from bhecke.cli import main; sys.exit(main())"
+
+
 def run_cli(argv, capsys):
     """Invoke the CLI in-process; returns (exit_code, stdout, stderr)."""
     try:
@@ -262,6 +274,25 @@ class TestTableCommand:
         _, json_out, _ = run_cli(["table", "-n", "3", "--m-list", "1", "--json"], capsys)
         assert len(csv_out.splitlines()) - 1 == len(json.loads(json_out)["rows"])
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="sizes the pipe with F_SETPIPE_SZ")
+    def test_closed_pipe_exits_141_without_traceback(self):
+        # `table -n 7` prints about 48 KB. Through a one-page pipe the
+        # child blocks on its first flush, so closing the pipe after one
+        # line always leaves most of the table unwritten.
+        import fcntl
+        read_end, write_end = os.pipe()
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+        proc = subprocess.Popen([sys.executable, "-c", CLI_MAIN, "table", "-n", "7"],
+                                stdout=write_end, stderr=subprocess.PIPE,
+                                env=cli_env())
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as out:
+            assert out.readline().startswith(b"n  m")
+        _, err = proc.communicate(timeout=300)
+        assert b"Traceback" not in err
+        assert proc.returncode == 141
+
 
 class TestSelftestCommand:
     def test_fast_suites_pass(self, capsys):
@@ -301,14 +332,10 @@ class TestSelftestCommand:
         # A separate interpreter, because pytest captures what a plain run
         # prints to stderr. Rank 7 includes data whose component labels
         # break a gluing tie, which the sweep leaves unreported.
-        src = str(Path(bhecke.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        env.pop("PYTHONWARNINGS", None)
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from bhecke.cli import main; sys.exit(main())",
+            [sys.executable, "-c", CLI_MAIN,
              "selftest", "--suite", "rgroup", "--bound-n", "7"],
-            capture_output=True, text=True, env=env, timeout=300)
+            capture_output=True, text=True, env=cli_env(), timeout=300)
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert "all suites passed" in proc.stdout

@@ -1,11 +1,18 @@
 """The stabilizer survivors and R members of _wscan against pure-Python
 scans."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import bhecke
 from bhecke._wscan import (
     group_order,
     pi_structure,
@@ -85,6 +92,40 @@ def test_empty_parabolic_root_system_is_none():
     assert w_survivor_indices(3, (1, 1, 1), 0, (1, 1, 1)) is None
     assert w_survivor_indices(1, (1,), 0, (0,)) is None
     assert pi_survivors(3, (), False) is None
+
+
+# Prints, as JSON, the growth of the peak RSS over the import baseline
+# after building images_table(8) and after four survivor scans, with the
+# table's size and layout. ru_maxrss is in KiB on Linux.
+_RSS_PROBE = """
+import json, resource
+from bhecke import _wscan
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+base = peak()
+img = _wscan.images_table(8)
+built = peak() - base
+for pset, short in [((1,), False), ((1,), True),
+                    ((1, 2, 3, 4, 5, 6, 7), False), ((2, 4, 6), False)]:
+    _wscan.pi_survivors(8, pset, short)
+print(json.dumps({"nbytes": img.nbytes, "built": built,
+                  "scanned": peak() - base,
+                  "contiguous": img.flags.c_contiguous}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_rank_8_scans_allocate_little_beyond_the_table():
+    # A fresh interpreter, so that the peak starts at the import baseline.
+    src = str(Path(bhecke.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _RSS_PROBE], check=True,
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    rss = json.loads(out)
+    assert rss["contiguous"]
+    assert rss["built"] <= 1.25 * rss["nbytes"], rss
+    assert rss["scanned"] <= 1.5 * rss["nbytes"], rss
 
 
 def r_scan(xi):
