@@ -157,8 +157,6 @@ def induction_data(n: int, ms: Iterable[Fraction]) -> list[tuple]:
 
 
 def _residual_split(mu: Partition, m: Fraction) -> SplitResult:
-    if not is_partition(mu):
-        raise ValueError(f"not a partition: {mu!r}")
     sr = split(mu, m)
     if sr is None:
         raise ValueError(f"mu={mu} is not residual at m={Fraction(m)}")
@@ -175,7 +173,9 @@ def can_glue(p: int, mu: Partition, m: Fraction) -> bool:
     restricted c-function is regular there.
 
     Computed blockwise: strip-only pole order plus one contribution per block
-    of the splitting of mu must vanish. mu must be residual (or empty).
+    of the splitting of mu must vanish. mu must be residual (or empty). The
+    split of (mu, m) is the one `split` shares, so calls for every p on one
+    mu split it once.
     """
     if p < 1:
         raise ValueError("strip length must be >= 1")

