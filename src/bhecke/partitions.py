@@ -19,14 +19,16 @@ __all__ = [
     "ENUMERATION_BOUND",
     "Partition",
     "RANK_BOUND",
-    "addable_boxes",
     "as_partition",
     "boxes",
     "check_enumeration_bound",
     "check_rank_bound",
     "content",
+    "diagonal_lengths",
+    "diagonal_step",
     "enumerate_partitions",
     "fmt_ratio",
+    "from_diagonal_lengths",
     "is_partition",
     "m_tableau",
     "parse_partition",
@@ -95,16 +97,40 @@ def strip(p: int) -> tuple[Fraction, ...]:
     return tuple(-z + k for k in range(p))
 
 
-def addable_boxes(lam: Partition) -> list[BoxCoord]:
-    """Boxes that can be appended to lam so the result is still a partition."""
-    out = []
-    for r in range(1, len(lam) + 1):
-        here = lam[r - 1]
-        above = lam[r - 2] if r >= 2 else None
-        if above is None or here < above:
-            out.append((r, here + 1))
-    out.append((len(lam) + 1, 1))
-    return out
+def diagonal_lengths(lam: Partition) -> dict[int, int]:
+    """The number D_x of boxes of lam at each content x that lam reaches.
+
+    Box (r, c) lies in lam exactly when D_(c-r) >= min(r, c), so these
+    counts fix lam, and lam contains mu exactly when D(lam) >= D(mu) on
+    every diagonal.
+    """
+    diag: dict[int, int] = {}
+    for r, length in enumerate(lam, start=1):
+        for x in range(1 - r, length + 1 - r):
+            diag[x] = diag.get(x, 0) + 1
+    return diag
+
+
+def diagonal_step(x: int, here: int, there: int) -> bool:
+    """Whether diagonals x and x + 1 of a partition may hold here and there
+    boxes: from the main diagonal outward each length drops by 0 or 1. A
+    sequence of diagonal lengths is a partition's exactly when every
+    neighbouring pair passes."""
+    return 0 <= (here - there if x >= 0 else there - here) <= 1
+
+
+def from_diagonal_lengths(diag: dict[int, int]) -> Partition:
+    """The partition with diag[x] boxes at content x (none where x is not a
+    key), for a diag whose every neighbouring pair passes `diagonal_step`."""
+    rows = []
+    while True:
+        r = len(rows) + 1
+        c = 1
+        while diag.get(c - r, 0) >= min(r, c):
+            c += 1
+        if c == 1:
+            return tuple(rows)
+        rows.append(c - 1)
 
 
 @lru_cache(maxsize=None)
@@ -129,10 +155,11 @@ def check_enumeration_bound(n: int) -> None:
 
 
 # Largest rank n of an induction datum, and largest weight |lam| of a
-# partition to split. Truncated induction is closed-form per strip, so the
-# cost at high rank is glue_strip_geometric's search: on a 2-CPU VM the
-# slowest report found at rank 64, one strip of 34 over (9,6,5,4,3,2,1) at
-# m = 3/2, takes about 3 s and 68 MB, nearly all of it in that search.
+# partition to split. Truncated induction is closed-form per strip and
+# gluing a chain over content pairs, so no rank-64 report found takes more
+# than about 10 ms on a 2-CPU VM: the slowest, strips (20, 16) over
+# (7,6,5,4,3,2,1) at m = 1/2, spends about half of its 7 ms in
+# similarity_class and under a third in glue_strip_geometric.
 RANK_BOUND = 64
 
 

@@ -28,8 +28,10 @@ from typing import Optional
 from .cfun import pole_order_short_blockwise, pole_order_short_direct
 from .partitions import (
     Partition,
-    addable_boxes,
+    diagonal_lengths,
+    diagonal_step,
     enumerate_partitions,
+    from_diagonal_lengths,
     is_partition,
 )
 from .splitting import (
@@ -187,42 +189,60 @@ def glue_strip_geometric(mu: Partition, p: int, m: Fraction) -> list[Partition]:
     multiset of a length-p strip. Pure multiset search, no residual hypothesis;
     descending lexicographic order.
 
-    Grows mu one addable box at a time and keeps a box only while its entry
-    is still left in the strip's multiset. Entries are scaled by 2d, where
-    m = a/d in lowest terms: a box at (row, col) has |2(d(col - row) + a)|
-    and the strip has {|d(2k - p + 1)| : 0 <= k < p}. Every order of adding
-    the same boxes uses up the same entries, so a shape already seen is not
-    grown again.
+    A box at content x = col - row has the entry |x + m|, and the strip has
+    the entries |k - (p - 1)/2| for 0 <= k < p: those of the p contents
+    -m - (p - 1)/2, ..., -m + (p - 1)/2 folded about -m. So a gluing adds
+    one box at content -m when p is odd and, for each t > 0 of the fold,
+    two boxes at the contents -m - t and -m + t: 0, 1 or 2 at either. The
+    contents are integers only when p - 1 - 2m is an even integer; otherwise
+    nothing glues.
+
+    A partition is fixed by its diagonal lengths D_x, the number of its boxes
+    at content x: box (r, c) lies in it exactly when D_(c-r) >= min(r, c).
+    So mu' contains mu exactly when D(mu') >= D(mu) on every diagonal, which
+    adding boxes keeps, and a sequence D is a partition's exactly when each
+    neighbouring pair meets `diagonal_step`. The search walks t outward from
+    -m, keeps a choice for the pair at t only when its two new ends meet the
+    step rule against their inner neighbours, and at the last pair checks the
+    two outer edges against the diagonals of mu that no box reaches.
     """
     if p < 1:
         raise ValueError("strip length must be >= 1")
     if not is_partition(mu):
         raise ValueError(f"not a partition: {mu!r}")
     a, d = Fraction(m).as_integer_ratio()
-    left: dict[int, int] = {}
-    for k in range(p):
-        e = abs(d * (2 * k - p + 1))
-        left[e] = left.get(e, 0) + 1
-    seen = set()
+    if d > 2 or (p - 1 - 2 * a // d) % 2:
+        return []
+    # The strip's contents lo..hi; mid is -m for odd p, -m + 1/2 for even p.
+    lo = (1 - p - 2 * a // d) // 2
+    hi = lo + p - 1
+    diag = dict.fromkeys(range(lo - 1, hi + 2), 0)
+    diag.update(diagonal_lengths(mu))
+    mid = lo + p // 2
+    if p % 2:
+        diag[mid] += 1
+        left, right = mid - 1, mid + 1
+    else:
+        left, right = mid - 1, mid
     out = []
 
-    def grow(lam: Partition, todo: int) -> None:
-        if todo == 0:
-            out.append(lam)
+    def chain(t: int) -> None:
+        if t == p // 2:
+            if (diagonal_step(lo - 1, diag[lo - 1], diag[lo])
+                    and diagonal_step(hi, diag[hi], diag[hi + 1])):
+                out.append(from_diagonal_lengths(diag))
             return
-        for row, col in addable_boxes(lam):
-            e = abs(2 * (d * (col - row) + a))
-            if not left.get(e):
-                continue
-            bigger = lam[:row - 1] + (col,) + lam[row:]
-            if bigger in seen:
-                continue
-            seen.add(bigger)
-            left[e] -= 1
-            grow(bigger, todo - 1)
-            left[e] += 1
+        x, y = left - t, right + t
+        for k in (0, 1, 2):
+            diag[x] += k
+            diag[y] += 2 - k
+            if (diagonal_step(x, diag[x], diag[x + 1])
+                    and diagonal_step(y - 1, diag[y - 1], diag[y])):
+                chain(t + 1)
+            diag[x] -= k
+            diag[y] -= 2 - k
 
-    grow(mu, p)
+    chain(0)
     return sorted(out, reverse=True)
 
 

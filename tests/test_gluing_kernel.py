@@ -23,12 +23,21 @@ from bhecke.cfun import (
     pole_order_block,
     pole_order_short_direct,
 )
-from bhecke.partitions import content, enumerate_partitions, m_tableau, strip
+from bhecke.partitions import (
+    boxes,
+    content,
+    enumerate_partitions,
+    is_partition,
+    m_tableau,
+    strip,
+)
 from bhecke.rgroup import glue_strip_geometric
 from bhecke.splitting import split
 
 # Half-integers to 6, plus parameters with denominators 3 and 4.
 MS = [F(k, 2) for k in range(13)] + [F(1, 3), F(5, 3), F(7, 4)]
+# Negative parameters put the strip's centre -m at a positive content.
+NEGATIVE_MS = [F(-1, 2), F(-1), F(-3, 2), F(-3), F(-1, 3)]
 STRIPS = range(1, 13)
 
 
@@ -155,7 +164,7 @@ def _block_fields(sr):
 
 # ------------------------------------------------------------ comparisons
 
-@pytest.mark.parametrize("m", MS, ids=str)
+@pytest.mark.parametrize("m", MS + NEGATIVE_MS, ids=str)
 def test_glue_matches_partition_scan(m):
     for mu in _partitions_up_to(8):
         for p in STRIPS:
@@ -215,7 +224,23 @@ def test_split_block_entries_are_fractions(lam, m, entries):
 ])
 def test_glue_cost_does_not_scale_with_partition_count(mu, p, expect):
     # A scan of the 53,174 partitions of 42 (63,261 of 43) took 2.7 s and
-    # 0.24 s; growing addable boxes takes well under a millisecond.
+    # 0.24 s; the chain over content pairs takes well under a millisecond.
     started = time.perf_counter()
     assert glue_strip_geometric(mu, p, F(3)) == expect
     assert time.perf_counter() - started < 0.05
+
+
+def test_long_strip_over_a_staircase_meets_the_entry_multiset():
+    # The slowest rank-64 report glues this strip; the partitions of 62 are
+    # too many to scan, so each gluing is checked against the definition.
+    mu, p, m = (9, 6, 5, 4, 3, 2, 1), 34, F(3, 2)
+    glued = glue_strip_geometric(mu, p, m)
+    assert len(glued) == 28
+    assert glued == sorted(set(glued), reverse=True)
+    mu_entries = Counter(m_tableau(mu, m).values())
+    strip_entries = Counter(abs(e) for e in strip(p))
+    for lam in glued:
+        assert is_partition(lam), lam
+        assert set(boxes(mu)) <= set(boxes(lam)), lam
+        assert sum(lam) == sum(mu) + p, lam
+        assert Counter(m_tableau(lam, m).values()) - mu_entries == strip_entries, lam

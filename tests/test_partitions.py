@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bhecke.partitions import (
-    addable_boxes,
     as_partition,
     boxes,
     content,
+    diagonal_lengths,
+    diagonal_step,
     enumerate_partitions,
     fmt_ratio,
+    from_diagonal_lengths,
     is_partition,
     m_tableau,
     parse_partition,
@@ -92,19 +94,63 @@ def test_strip_sums_to_zero(p):
     assert len(strip(p)) == p
 
 
-def test_addable_boxes():
-    assert addable_boxes(()) == [(1, 1)]
-    assert addable_boxes((2,)) == [(1, 3), (2, 1)]
-    assert addable_boxes((4, 3, 2, 1, 1)) == [(1, 5), (2, 4), (3, 3), (4, 2), (6, 1)]
+# Every partition of weight <= 12, and a window of contents wide enough that
+# every diagonal of each is inside it with an empty diagonal at either end.
+UP_TO_12 = [lam for w in range(13) for lam in (enumerate_partitions(w) if w else [()])]
+WINDOW = range(-13, 14)
 
 
-@given(partitions_st)
-def test_addable_boxes_give_partitions(lam):
-    for r, c in addable_boxes(lam):
-        grown = list(lam) + [0] * (r - len(lam))
-        grown[r - 1] += 1
-        assert is_partition(tuple(grown))
-        assert grown[r - 1] == c
+def test_box_lies_in_lam_by_its_diagonal():
+    for lam in UP_TO_12:
+        diag = diagonal_lengths(lam)
+        inside = set(boxes(lam))
+        rows, cols = len(lam) + 2, (lam[0] if lam else 0) + 2
+        for r in range(1, rows + 1):
+            for c in range(1, cols + 1):
+                assert ((r, c) in inside) == (diag.get(c - r, 0) >= min(r, c)), (lam, r, c)
+        assert from_diagonal_lengths(diag) == lam
+
+
+def _sequences_passing_the_step_rule(budget):
+    """Every sequence of lengths on WINDOW, zero at both ends, of total at
+    most budget, whose every neighbouring pair passes diagonal_step: built
+    outward from content 0, trying every length at each new diagonal."""
+    out = []
+
+    def extend(seq, lo, hi, left):
+        if lo == WINDOW[0] and hi == WINDOW[-1]:
+            if seq[lo] == 0 == seq[hi]:
+                out.append({x: v for x, v in seq.items() if v})
+            return
+        x = hi + 1 if hi < WINDOW[-1] else lo - 1
+        for v in range(left + 1):
+            if (diagonal_step(hi, seq[hi], v) if x > hi else diagonal_step(x, v, seq[lo])):
+                seq[x] = v
+                extend(seq, min(lo, x), max(hi, x), left - v)
+                del seq[x]
+
+    for v in range(budget + 1):
+        extend({0: v}, 0, 0, budget - v)
+    return out
+
+
+def test_step_rule_tells_partitions_apart():
+    # A sequence of diagonal lengths is a partition's exactly when every
+    # neighbouring pair passes the step rule.
+    wanted = sorted(sorted(diagonal_lengths(lam).items()) for lam in UP_TO_12)
+    found = sorted(sorted(seq.items()) for seq in _sequences_passing_the_step_rule(12))
+    assert found == wanted
+    assert len(found) == len(UP_TO_12) == 272
+
+
+def test_containment_is_diagonal_by_diagonal():
+    diags = {lam: diagonal_lengths(lam) for lam in UP_TO_12}
+    for big in UP_TO_12:
+        inside = set(boxes(big))
+        for mu in UP_TO_12:
+            contains = set(boxes(mu)) <= inside
+            assert contains == all(diags[big].get(x, 0) >= n for x, n in diags[mu].items()), \
+                (big, mu)
 
 
 def test_enumerate_partitions_counts():
